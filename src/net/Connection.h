@@ -75,7 +75,6 @@ public:
 
   bool wantsWrite() const { return OutPos < OutBuf.size(); }
   size_t pendingWriteBytes() const { return OutBuf.size() - OutPos; }
-  size_t bufferedReadBytes() const { return InBuf.size() - InPos; }
 
   // Event-loop scheduling state (loop thread only).
   bool ReadClosed = false;      ///< EOF seen, or reads permanently stopped.

@@ -3,14 +3,13 @@
 /// \file
 /// Thin RAII wrappers over POSIX stream sockets: a connected Socket with
 /// buffered newline-delimited reads (the becd framing unit), a
-/// ListenSocket that can bind ephemeral ports and be woken out of a
-/// blocking accept(), and a name-resolving connectTo(). Blocking I/O
-/// throughout — concurrency is the server's job (one connection per
-/// ThreadPool task), not the transport's. No third-party dependencies.
+/// ListenSocket that binds (ephemeral ports included) and hands its
+/// descriptor to the event loop that accepts on it (net/EventLoop.h),
+/// and a name-resolving connectTo(). The Socket side is blocking I/O,
+/// used by serve::Client, the gateway's upstream links, benches and
+/// tests. No third-party dependencies.
 ///
-/// Thread-safety: a Socket is owned by one thread at a time, with one
-/// exception — unblock() may be called from another thread to force a
-/// blocked recv/accept to return (the server's shutdown path).
+/// Thread-safety: a Socket is owned by one thread at a time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,12 +37,8 @@ public:
   Socket &operator=(const Socket &) = delete;
   ~Socket();
 
-  bool valid() const { return FD >= 0; }
   int fd() const { return FD; }
   void close();
-  /// Half-closes both directions without releasing the descriptor: a recv
-  /// blocked on this socket (possibly in another thread) returns EOF.
-  void unblock();
 
   /// Sends all of \p Data (retrying short writes). False on any error.
   bool sendAll(std::string_view Data, std::string &Err);
@@ -83,15 +78,6 @@ public:
   /// it themselves; see net/EventLoop.h). -1 when not listening.
   int fd() const { return FD; }
 
-  enum class WaitStatus { Ready, Timeout, Error };
-
-  /// Polls for a pending connection for up to \p TimeoutMs. Acceptor
-  /// loops interleave this with a stop-flag check: accept(2) on a
-  /// listening socket cannot be woken portably from another thread.
-  WaitStatus waitReadable(int TimeoutMs);
-
-  /// Blocks for the next connection. nullopt on error.
-  std::optional<Socket> accept(std::string &Err);
   void close();
   bool valid() const { return FD >= 0; }
 

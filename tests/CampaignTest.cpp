@@ -10,6 +10,8 @@
 #include "sim/Interpreter.h"
 #include "workloads/Workloads.h"
 
+#include "TempPath.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -236,8 +238,8 @@ TEST(CampaignEngine, UnsortedPlanExecutesBySortedOrderSlotsByPlanOrder) {
 void checkInterruptResume(const Program &Prog, const Trace &Golden,
                           const CampaignPlan &Plan, uint64_t StopAfter,
                           const CampaignResult &Baseline) {
-  std::string Path = testing::TempDir() + "/campaign_resume_" +
-                     std::to_string(StopAfter) + ".jsonl";
+  std::string Path = test::tempPath("campaign_resume_" +
+                                    std::to_string(StopAfter) + ".jsonl");
   std::remove(Path.c_str());
 
   // One thread for the interrupted phase: the stop is then checked
@@ -321,7 +323,7 @@ TEST(CampaignEngine, ResumeRejectsCheckpointOfDifferentPlacementPeriod) {
   Program Prog = parseAsmOrDie(SmallLoop, "loop");
   BECAnalysis A = BECAnalysis::run(Prog);
   Trace Golden = simulate(Prog);
-  std::string Path = testing::TempDir() + "/campaign_placement.jsonl";
+  std::string Path = test::tempPath("campaign_placement.jsonl");
   std::remove(Path.c_str());
 
   PlanOptions Dense;
@@ -347,7 +349,7 @@ TEST(CampaignEngine, ResumeRejectsCheckpointOfDifferentPlan) {
   Program Prog = parseAsmOrDie(SmallLoop, "loop");
   BECAnalysis A = BECAnalysis::run(Prog);
   Trace Golden = simulate(Prog);
-  std::string Path = testing::TempDir() + "/campaign_foreign.jsonl";
+  std::string Path = test::tempPath("campaign_foreign.jsonl");
   std::remove(Path.c_str());
 
   PlanOptions ValueOpts;
@@ -376,7 +378,7 @@ TEST(CampaignEngine, TornTrailingCheckpointRecordIsIgnored) {
   CampaignPlan Plan = CampaignPlan::build(A, Golden, PO);
   CampaignResult Baseline = runCampaign(Prog, Golden, Plan, {});
 
-  std::string Path = testing::TempDir() + "/campaign_torn.jsonl";
+  std::string Path = test::tempPath("campaign_torn.jsonl");
   std::remove(Path.c_str());
   CampaignExecOptions Exec;
   Exec.ShardSize = 8;

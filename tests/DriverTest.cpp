@@ -1,6 +1,7 @@
 //===- tests/DriverTest.cpp - In-process tests of the `bec` CLI -----------===//
 
 #include "Driver.h"
+#include "TempPath.h"
 
 #include "core/BECAnalysis.h"
 #include "core/Metrics.h"
@@ -106,7 +107,7 @@ std::string maskCampaignSeconds(std::string S) {
 }
 
 TEST(Driver, CampaignCheckpointResumeReportIsByteIdentical) {
-  std::string Path = testing::TempDir() + "/driver_campaign_ck.jsonl";
+  std::string Path = test::tempPath("driver_campaign_ck.jsonl");
   std::remove(Path.c_str());
   std::vector<std::string> Base = {"campaign",     "--workload",
                                    "bitcount",     "--max-cycles",
@@ -188,7 +189,7 @@ TEST(Driver, ReportBitcountIsSound) {
 
 TEST(Driver, AnalyzeExternalAsmFile) {
   // Round-trip: dump a bundled workload to disk, analyze it as a file.
-  std::string Path = testing::TempDir() + "/driver_bitcount.s";
+  std::string Path = test::tempPath("driver_bitcount.s");
   {
     std::ofstream OutFile(Path);
     OutFile << loadWorkload(*findWorkload("bitcount")).toString();
@@ -196,6 +197,7 @@ TEST(Driver, AnalyzeExternalAsmFile) {
   DriverRun R = run({"analyze", "--asm", Path});
   EXPECT_EQ(R.Status, tool::ExitSuccess) << R.Err;
   EXPECT_NE(R.Out.find(Path), std::string::npos);
+  std::remove(Path.c_str());
 }
 
 TEST(Driver, UsageErrors) {
@@ -208,6 +210,15 @@ TEST(Driver, UsageErrors) {
   EXPECT_EQ(run({"campaign", "--max-cycles", "10O"}).Status, tool::ExitUsage);
   // --emit needs exactly one target; the default selection is all of them.
   EXPECT_EQ(run({"schedule", "--emit", "x.s"}).Status, tool::ExitUsage);
+  // The queue depth is serve's alone; becd has one engine and no
+  // option to pick another.
+  DriverRun Queue = run({"analyze", "--queue-depth", "4"});
+  EXPECT_EQ(Queue.Status, tool::ExitUsage);
+  EXPECT_NE(Queue.Err.find("--queue-depth is only valid with serve"),
+            std::string::npos);
+  EXPECT_EQ(run({"serve", "--queue-depth", "2000000"}).Status,
+            tool::ExitUsage);
+  EXPECT_EQ(run({"serve", "--engine", "threads"}).Status, tool::ExitUsage);
 
   DriverRun Unknown = run({"analyze", "--workload", "nonesuch"});
   EXPECT_EQ(Unknown.Status, tool::ExitBadInput);
@@ -226,7 +237,7 @@ std::string slurp(const std::string &Path) {
 }
 
 TEST(Driver, TraceOutWritesABalancedChromeTraceAndSameReport) {
-  std::string Path = testing::TempDir() + "/driver_trace.json";
+  std::string Path = test::tempPath("driver_trace.json");
   std::remove(Path.c_str());
 
   DriverRun Plain = run({"analyze", "--workload", "bitcount"});
@@ -269,7 +280,7 @@ TEST(Driver, TraceOutWritesABalancedChromeTraceAndSameReport) {
   EXPECT_TRUE(Names.count("query:cmd.analyze"));
 
   // Span names are deterministic run to run (timestamps are not).
-  std::string Path2 = testing::TempDir() + "/driver_trace2.json";
+  std::string Path2 = test::tempPath("driver_trace2.json");
   std::remove(Path2.c_str());
   DriverRun Again =
       run({"analyze", "--workload", "bitcount", "--trace-out", Path2});
@@ -287,7 +298,7 @@ TEST(Driver, TraceOutWritesABalancedChromeTraceAndSameReport) {
 }
 
 TEST(Driver, TraceOutCoversTheEngineWorkers) {
-  std::string Path = testing::TempDir() + "/driver_trace_engine.json";
+  std::string Path = test::tempPath("driver_trace_engine.json");
   std::remove(Path.c_str());
   DriverRun R = run({"campaign", "--workload", "bitcount", "--max-cycles",
                      "120", "--trace-out", Path});
@@ -359,12 +370,13 @@ TEST(Driver, DuplicateTargetSelectionsCollapse) {
 }
 
 TEST(Driver, ScheduleEmitWritesParseableAssembly) {
-  std::string Path = testing::TempDir() + "/driver_sched.s";
+  std::string Path = test::tempPath("driver_sched.s");
   DriverRun R =
       run({"schedule", "--workload", "bitcount", "--emit", Path});
   EXPECT_EQ(R.Status, tool::ExitSuccess) << R.Err;
   DriverRun Re = run({"analyze", "--asm", Path});
   EXPECT_EQ(Re.Status, tool::ExitSuccess) << Re.Err;
+  std::remove(Path.c_str());
 }
 
 TEST(Driver, HardenReportsValidatedParetoPoints) {
@@ -386,11 +398,12 @@ TEST(Driver, HardenSweepEmitsOneRowPerBudget) {
 }
 
 TEST(Driver, HardenEmitWritesParseableAssembly) {
-  std::string Path = testing::TempDir() + "/driver_hardened.s";
+  std::string Path = test::tempPath("driver_hardened.s");
   DriverRun R = run({"harden", "--workload", "bitcount", "--emit", Path});
   EXPECT_EQ(R.Status, tool::ExitSuccess) << R.Err;
   DriverRun Re = run({"analyze", "--asm", Path});
   EXPECT_EQ(Re.Status, tool::ExitSuccess) << Re.Err;
+  std::remove(Path.c_str());
 }
 
 TEST(Driver, JsonOutputIsWellFormedAndComplete) {
@@ -468,7 +481,7 @@ TEST(Driver, FuzzJsonReportsTheCampaign) {
 }
 
 TEST(Driver, FuzzCheckpointResumeReportIsByteIdentical) {
-  std::string Path = testing::TempDir() + "/driver_fuzz_ck.jsonl";
+  std::string Path = test::tempPath("driver_fuzz_ck.jsonl");
   std::remove(Path.c_str());
   std::vector<std::string> Base = {"fuzz", "--count", "4", "--seed", "3",
                                    "--max-cycles", "24", "--checkpoint",

@@ -15,6 +15,8 @@
 #include "ir/AsmParser.h"
 #include "sim/Interpreter.h"
 
+#include "TempPath.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -256,7 +258,7 @@ TEST(FuzzCampaign, ReportIsThreadCountInvariant) {
 }
 
 TEST(FuzzCampaign, InterruptAndResumeMatchesStraightRun) {
-  std::string Path = testing::TempDir() + "/fuzz_resume_ck.jsonl";
+  std::string Path = test::tempPath("fuzz_resume_ck.jsonl");
   std::remove(Path.c_str());
 
   FuzzOptions O = smallCampaign();
@@ -282,7 +284,7 @@ TEST(FuzzCampaign, InterruptAndResumeMatchesStraightRun) {
 }
 
 TEST(FuzzCampaign, ResumeRejectsACheckpointOfDifferentOptions) {
-  std::string Path = testing::TempDir() + "/fuzz_fp_ck.jsonl";
+  std::string Path = test::tempPath("fuzz_fp_ck.jsonl");
   std::remove(Path.c_str());
 
   FuzzOptions O = smallCampaign();
@@ -329,7 +331,7 @@ TEST(FuzzCampaign, BudgetSelectsADeterministicPrefix) {
 }
 
 TEST(FuzzCampaign, EmitCorpusWritesOneLegalFilePerProgram) {
-  std::string Dir = testing::TempDir() + "/fuzz_emit_corpus";
+  std::string Dir = test::tempPath("fuzz_emit_corpus");
   std::filesystem::remove_all(Dir);
 
   FuzzOptions O = smallCampaign();

@@ -9,8 +9,7 @@
 //    every response for the requests it sent, then EOF;
 //  * backpressure: admission control answers error 105 `overloaded` when
 //    the worker queue is full, and error 106 `draining` for requests
-//    caught by a graceful drain — on the legacy thread-per-connection
-//    server too;
+//    caught by a graceful drain;
 //  * equivalence: responses through the event-loop server are
 //    byte-identical to the loopback Service;
 //  * gateway: the consistent-hash ring is deterministic and mostly
@@ -29,6 +28,8 @@
 #include "serve/Socket.h"
 #include "support/Json.h"
 
+#include "ServerFixture.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -44,65 +45,9 @@
 using namespace bec;
 using namespace bec::net;
 using serve::ErrorCode;
+using test::ServerFixture;
 
 namespace {
-
-/// A live event-loop server on an ephemeral port, torn down on scope
-/// exit. The handler defaults to a loopback Service.
-struct LoopFixture {
-  serve::Service Svc;
-  EventServer Srv;
-  std::thread Runner;
-
-  explicit LoopFixture(EventServer::Options O = {})
-      : Srv(
-            [this](std::string_view Line, const FrameSink &Sink) {
-              return Svc.handleFrameStreaming(Line, Sink);
-            },
-            serve::makeHandshakeFrame(), [&O] {
-              O.Port = 0;
-              return O;
-            }()) {
-    Srv.setDrainCheck([this] { return Svc.isShuttingDown(); });
-    startAndRun();
-  }
-
-  /// A custom handler (no Service behind it).
-  LoopFixture(FrameHandler Handler, EventServer::Options O)
-      : Srv(std::move(Handler), serve::makeHandshakeFrame(), [&O] {
-          O.Port = 0;
-          return O;
-        }()) {
-    startAndRun();
-  }
-
-  void startAndRun() {
-    std::string Err;
-    if (!Srv.start(Err))
-      ADD_FAILURE() << "event server start failed: " << Err;
-    Runner = std::thread([this] { Srv.run(); });
-  }
-
-  ~LoopFixture() {
-    Srv.requestStop();
-    if (Runner.joinable())
-      Runner.join();
-  }
-
-  /// A raw connected socket past the handshake frame.
-  serve::Socket connectRaw() {
-    std::string Err;
-    std::optional<serve::Socket> S =
-        serve::connectTo("127.0.0.1", Srv.port(), Err);
-    if (!S)
-      throw std::runtime_error("connect failed: " + Err);
-    std::string Line;
-    if (S->recvLine(Line, serve::MaxFrameBytes, Err) !=
-        serve::Socket::RecvStatus::Line)
-      throw std::runtime_error("no handshake: " + Err);
-    return std::move(*S);
-  }
-};
 
 /// Reads one response frame and parses it.
 serve::Response recvResponse(serve::Socket &S) {
@@ -146,7 +91,7 @@ struct Gate {
 //===----------------------------------------------------------------------===//
 
 TEST(EventLoop, ReassemblesFramesSplitAcrossReads) {
-  LoopFixture F;
+  ServerFixture F;
   serve::Socket S = F.connectRaw();
   std::string Frame = serve::makeRequestFrame(3, "version", "");
   // Dribble the frame byte by byte; every send is a separate read on the
@@ -163,7 +108,7 @@ TEST(EventLoop, ReassemblesFramesSplitAcrossReads) {
 }
 
 TEST(EventLoop, PipelinedRequestsAnswerInOrder) {
-  LoopFixture F;
+  ServerFixture F;
   serve::Socket S = F.connectRaw();
   std::string Batch;
   for (uint64_t Id = 1; Id <= 20; ++Id)
@@ -178,7 +123,7 @@ TEST(EventLoop, PipelinedRequestsAnswerInOrder) {
 }
 
 TEST(EventLoop, RejectsOversizedFrameAndCloses) {
-  LoopFixture F;
+  ServerFixture F;
   serve::Socket S = F.connectRaw();
   // More bytes than MaxFrameBytes with no newline: the server must
   // answer a typed parse error rather than buffer without bound.
@@ -203,15 +148,13 @@ TEST(EventLoop, SlowReaderOnlyStallsItself) {
   // EAGAIN partial-write path while the client deliberately reads
   // nothing.
   const std::string Payload(256 * 1024, 'y');
-  EventServer::Options O;
-  O.Workers = 2;
-  LoopFixture F(
+  ServerFixture F(
       [&](std::string_view Line, const FrameSink &) {
         serve::ParsedFrame P = serve::parseRequestFrame(Line);
         return serve::makeResultFrame(P.Req ? P.Req->Id : 0,
                                       "\"" + Payload + "\"");
       },
-      O);
+      /*Workers=*/2);
   serve::Socket Slow = F.connectRaw();
   std::string Batch;
   for (uint64_t Id = 1; Id <= 16; ++Id)
@@ -238,7 +181,7 @@ TEST(EventLoop, SlowReaderOnlyStallsItself) {
 }
 
 TEST(EventLoop, HalfClosedPeerStillGetsItsResponses) {
-  LoopFixture F;
+  ServerFixture F;
   serve::Socket S = F.connectRaw();
   std::string Batch;
   for (uint64_t Id = 1; Id <= 3; ++Id)
@@ -260,17 +203,15 @@ TEST(EventLoop, HalfClosedPeerStillGetsItsResponses) {
 
 TEST(EventLoop, OverloadAnswersError105) {
   Gate G;
-  EventServer::Options O;
-  O.Workers = 1;
-  O.QueueDepth = 1; // Admission cap: 2 in flight across the server.
-  LoopFixture F(
+  // Admission cap: 1 worker + queue depth 1 = 2 in flight.
+  ServerFixture F(
       [&](std::string_view Line, const FrameSink &) {
         ++G.Entered;
         G.wait();
         serve::ParsedFrame P = serve::parseRequestFrame(Line);
         return serve::makeResultFrame(P.Req ? P.Req->Id : 0, "\"done\"");
       },
-      O);
+      /*Workers=*/1, /*QueueDepth=*/1);
   std::string Err;
   serve::Socket C1 = F.connectRaw();
   ASSERT_TRUE(C1.sendAll(serve::makeRequestFrame(1, "block", ""), Err));
@@ -295,16 +236,14 @@ TEST(EventLoop, OverloadAnswersError105) {
 
 TEST(EventLoop, DrainRejectsQueuedRequestsWithError106) {
   Gate G;
-  EventServer::Options O;
-  O.Workers = 1;
-  LoopFixture F(
+  ServerFixture F(
       [&](std::string_view Line, const FrameSink &) {
         ++G.Entered;
         G.wait();
         serve::ParsedFrame P = serve::parseRequestFrame(Line);
         return serve::makeResultFrame(P.Req ? P.Req->Id : 0, "\"done\"");
       },
-      O);
+      /*Workers=*/1);
   serve::Socket S = F.connectRaw();
   std::string Batch;
   for (uint64_t Id = 1; Id <= 3; ++Id)
@@ -336,7 +275,7 @@ TEST(EventLoop, DrainRejectsQueuedRequestsWithError106) {
 }
 
 TEST(EventLoop, ShutdownMethodDrainsTheServer) {
-  LoopFixture F;
+  ServerFixture F;
   serve::Socket S = F.connectRaw();
   std::string Err;
   ASSERT_TRUE(S.sendAll(serve::makeRequestFrame(1, "shutdown", ""), Err));
@@ -348,53 +287,12 @@ TEST(EventLoop, ShutdownMethodDrainsTheServer) {
   F.Runner.join(); // run() must return on its own.
 }
 
-TEST(LegacyServer, SaturatedPoolAnswersError105) {
-  serve::Service Svc;
-  serve::Server::Options O;
-  O.Port = 0;
-  O.Jobs = 2; // connectionJobs floor is 2: two handlers.
-  O.MaxQueued = 0;
-  serve::Server Srv(Svc, O);
-  std::string Err;
-  ASSERT_TRUE(Srv.start(Err)) << Err;
-  std::thread Runner([&] { Srv.run(); });
-
-  auto RawConnect = [&] {
-    std::optional<serve::Socket> S =
-        serve::connectTo("127.0.0.1", Srv.port(), Err);
-    EXPECT_TRUE(S.has_value()) << Err;
-    std::string Line;
-    EXPECT_EQ(S->recvLine(Line, serve::MaxFrameBytes, Err),
-              serve::Socket::RecvStatus::Line);
-    return std::move(*S);
-  };
-  {
-    // Two idle connections occupy both handlers...
-    serve::Socket C1 = RawConnect();
-    serve::Socket C2 = RawConnect();
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    // ...so the third is answered `overloaded` and closed instead of
-    // waiting forever.
-    serve::Socket C3 = RawConnect();
-    ASSERT_TRUE(C3.sendAll(serve::makeRequestFrame(7, "version", ""), Err));
-    serve::Response R = recvResponse(C3);
-    EXPECT_TRUE(R.IsError);
-    EXPECT_EQ(R.Code, ErrorCode::Overloaded);
-    EXPECT_EQ(R.Id, 7u);
-    std::string Line;
-    EXPECT_EQ(C3.recvLine(Line, serve::MaxFrameBytes, Err),
-              serve::Socket::RecvStatus::Eof);
-  }
-  Srv.requestStop();
-  Runner.join();
-}
-
 //===----------------------------------------------------------------------===//
 // Equivalence with the loopback Service
 //===----------------------------------------------------------------------===//
 
 TEST(EventLoop, ResponsesAreByteIdenticalToLoopback) {
-  LoopFixture F;
+  ServerFixture F;
   serve::Service Loopback;
   serve::Socket S = F.connectRaw();
   const char *Frames[] = {
@@ -484,7 +382,7 @@ TEST(Gateway, RejectsMalformedBackends) {
 /// Two live becd backends on the event loop plus a gateway driven
 /// in-process through its FrameHandler (what the wire would call).
 struct GatewayFixture {
-  LoopFixture B1, B2;
+  ServerFixture B1, B2;
   Gateway GW;
 
   GatewayFixture()
@@ -539,7 +437,7 @@ TEST(Gateway, FailoverReplaysInternsByteIdentically) {
 
   // Kill the backend that owns "prog" (drain its loop: new connects are
   // refused, pooled gateway connections die mid-call).
-  LoopFixture &Owner = F.GW.backendIndexFor("prog") == 0 ? F.B1 : F.B2;
+  ServerFixture &Owner = F.GW.backendIndexFor("prog") == 0 ? F.B1 : F.B2;
   Owner.Srv.requestStop();
   Owner.Runner.join();
 

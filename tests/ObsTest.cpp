@@ -16,8 +16,11 @@
 #include "obs/Trace.h"
 #include "support/JsonParse.h"
 
+#include "TempPath.h"
+
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -113,6 +116,30 @@ TEST(Metrics, TotalsAreExactAcrossThreads) {
   for (uint64_t B : Hist.Buckets)
     BucketSum += B;
   EXPECT_EQ(BucketSum, Hist.Count);
+}
+
+// Gauge updates index the gauge table without the registry lock, so
+// registering gauges on one thread must never move it under another
+// thread's updates. Under ThreadSanitizer this is the no-data-races proof.
+TEST(Metrics, GaugeUpdatesRaceRegistrationsSafely) {
+  obs::resetMetrics();
+  static const obs::Gauge Hot("obstest.race.hot");
+  std::atomic<bool> Done{false};
+  std::thread Updater([&] {
+    for (uint64_t I = 0; I < 20000 || !Done.load(); ++I) {
+      Hot.add(1);
+      Hot.add(-1);
+    }
+  });
+  for (int I = 0; I < 64; ++I)
+    obs::Gauge("obstest.race.g" + std::to_string(I)).set(I);
+  Done.store(true);
+  Updater.join();
+
+  obs::MetricsSnapshot S = obs::snapshotMetrics();
+  EXPECT_EQ(S.find("obstest.race.hot")->GaugeValue, 0);
+  for (int I = 0; I < 64; ++I)
+    EXPECT_EQ(S.find("obstest.race.g" + std::to_string(I))->GaugeValue, I);
 }
 
 TEST(Metrics, HistogramGeometryAndQuantiles) {
@@ -380,7 +407,7 @@ TEST(Trace, SpansFromABandonedTraceStayOutOfTheNext) {
 struct LogCapture {
   std::string Path;
 
-  LogCapture() : Path(testing::TempDir() + "/obstest_log.txt") {
+  LogCapture() : Path(test::tempPath("obstest_log.txt")) {
     std::remove(Path.c_str());
     std::string Err;
     EXPECT_TRUE(obs::openLogFile(Path, Err)) << Err;

@@ -7,9 +7,10 @@
 //    client-side;
 //  * loopback mode: the full method table over an in-process Service is
 //    deterministic and byte-identical to the local driver;
-//  * sockets: real TCP round-trips, concurrent clients sharing one
-//    session pool (bit-identical to serial execution, cross-client cache
-//    hits visible in stats), graceful shutdown unblocking idle clients;
+//  * sockets: real TCP round-trips through the event-loop server
+//    (net::EventServer), concurrent clients sharing one session pool
+//    (bit-identical to serial execution, cross-client cache hits visible
+//    in stats), graceful shutdown unblocking idle clients;
 //  * driver integration: `bec --version`, `bec serve`/`bec client`, and
 //    `--remote` offload producing byte-identical subcommand output.
 //
@@ -23,22 +24,25 @@
 #include "support/JsonParse.h"
 
 #include "Driver.h"
+#include "ServerFixture.h"
+#include "TempPath.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <regex>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
 
 using namespace bec;
 using namespace bec::serve;
+using bec::test::ServerFixture;
 
 namespace {
 
@@ -69,43 +73,6 @@ std::string maskSeconds(std::string S) {
   S = std::regex_replace(S, std::regex(" +[0-9]+\\.[0-9]{2}\n"), " #\n");
   return S;
 }
-
-/// A live TCP server on an ephemeral port, torn down on scope exit.
-struct ServerFixture {
-  Service Svc;
-  Server Srv;
-  std::thread Runner;
-
-  explicit ServerFixture(unsigned Jobs = 4)
-      : Srv(Svc, [&] {
-          Server::Options O;
-          O.Port = 0;
-          O.Jobs = Jobs;
-          return O;
-        }()) {
-    std::string Err;
-    if (!Srv.start(Err))
-      ADD_FAILURE() << "server start failed: " << Err;
-    Runner = std::thread([this] { Srv.run(); });
-  }
-
-  ~ServerFixture() {
-    Srv.requestStop();
-    Runner.join();
-  }
-
-  std::string remoteFlag() const {
-    return "127.0.0.1:" + std::to_string(Srv.port());
-  }
-
-  Client connect() {
-    std::string Err;
-    std::optional<Client> C = Client::connect("127.0.0.1", Srv.port(), Err);
-    if (!C)
-      throw std::runtime_error("connect failed: " + Err);
-    return std::move(*C);
-  }
-};
 
 /// Error code of a raw frame pushed through a loopback service.
 ErrorCode frameError(Service &Svc, std::string_view Frame) {
@@ -598,7 +565,7 @@ TEST(Loopback, LogLevelMethodGetsAndSetsTheRuntimeLevel) {
   Client C = Client::loopback(Svc);
   // The rejected sets below log serve.request.error at warn; keep the
   // test's own stderr clean.
-  std::string Sink = testing::TempDir() + "/serve_loglevel_log.txt";
+  std::string Sink = test::tempPath("serve_loglevel_log.txt");
   std::string LogErr;
   ASSERT_TRUE(obs::openLogFile(Sink, LogErr)) << LogErr;
   obs::setLogLevel(obs::LogLevel::Off);
@@ -623,7 +590,7 @@ TEST(Loopback, LogLevelMethodGetsAndSetsTheRuntimeLevel) {
 TEST(DriverServe, RemoteTraceOutStitchesOneDistributedTimeline) {
   obs::spanRingClear();
   ServerFixture F;
-  std::string Path = testing::TempDir() + "/serve_trace.json";
+  std::string Path = test::tempPath("serve_trace.json");
   std::remove(Path.c_str());
   DriverRun R = runLocal({"analyze", "--workload", "bitcount", "--remote",
                           F.remoteFlag(), "--trace-out=" + Path});
@@ -746,7 +713,7 @@ TEST(SocketServer, ConcurrentClientsAreBitIdenticalToSerial) {
     Expected[W] = *R.Result.memberString("output");
   }
 
-  ServerFixture F(/*Jobs=*/4);
+  ServerFixture F(/*Workers=*/4);
   constexpr int NumClients = 4, Rounds = 3;
   std::atomic<int> Failures{0};
   std::vector<std::thread> Threads;
@@ -841,7 +808,7 @@ TEST(DriverServe, ClientSubcommandMatchesLocal) {
 
 TEST(DriverServe, RemoteAsmFileMatchesLocal) {
   // Dump a workload to disk and analyze it as an external file.
-  std::string Path = testing::TempDir() + "/serve_crc32.s";
+  std::string Path = test::tempPath("serve_crc32.s");
   {
     std::ofstream OutFile(Path);
     OutFile << loadWorkload(*findWorkloadAnyCase("crc32")).toString();
@@ -855,7 +822,7 @@ TEST(DriverServe, RemoteAsmFileMatchesLocal) {
   EXPECT_EQ(Rem.Err, Local.Err);
 
   // A broken file produces the local diagnostic shape, with line/col.
-  std::string BadPath = testing::TempDir() + "/serve_bad.s";
+  std::string BadPath = test::tempPath("serve_bad.s");
   {
     std::ofstream OutFile(BadPath);
     OutFile << "main:\n  frobnicate t0\n  ret\n";
@@ -866,10 +833,12 @@ TEST(DriverServe, RemoteAsmFileMatchesLocal) {
   EXPECT_EQ(RemBad.Status, LocalBad.Status);
   EXPECT_EQ(RemBad.Err, LocalBad.Err);
   EXPECT_NE(RemBad.Err.find("line 2, col 3"), std::string::npos);
+  std::remove(Path.c_str());
+  std::remove(BadPath.c_str());
 }
 
 TEST(DriverServe, ServeCommandEndToEnd) {
-  std::string PortFile = testing::TempDir() + "/becd_port.txt";
+  std::string PortFile = test::tempPath("becd_port.txt");
   std::remove(PortFile.c_str());
   std::ostringstream ServeOut, ServeErr;
   std::thread ServerThread([&] {
