@@ -19,6 +19,7 @@
 #include "fuzz/Generator.h"
 
 #include "ir/AsmParser.h"
+#include "support/BitUtils.h"
 #include "support/Debug.h"
 #include "support/Xoshiro.h"
 
@@ -240,8 +241,12 @@ private:
   }
 
   void emitLoopReduction() {
-    unsigned Iters = static_cast<unsigned>(
-        R.range(O.MinLoopIters, std::max(O.MinLoopIters, O.MaxLoopIters)));
+    // `li s1, Iters` must fit the register width, so both bounds clamp
+    // to its all-ones value (the default range fits every width).
+    int64_t Cap = static_cast<int64_t>(allOnesValue(W));
+    unsigned Iters = static_cast<unsigned>(R.range(
+        std::min<int64_t>(O.MinLoopIters, Cap),
+        std::min<int64_t>(std::max(O.MinLoopIters, O.MaxLoopIters), Cap)));
     std::string Label = "loop" + std::to_string(NextLabel++);
     const char *Acc = reg();
     line("li s1, " + std::to_string(Iters));

@@ -327,20 +327,43 @@ bool parseFormat(const JsonValue &Params, bool &Json, std::string &Err) {
   return false;
 }
 
+/// Reads the optional unsigned param \p Key, which must lie in [Min,
+/// Max], into \p Out (left alone when absent). \p Want is what the error
+/// message says a malformed value should have been.
+bool parseU64(const JsonValue &Params, const char *Key, uint64_t &Out,
+              std::string &Err, uint64_t Min = 0, uint64_t Max = UINT64_MAX,
+              const char *Want = "an unsigned integer") {
+  const JsonValue *V = Params.member(Key);
+  std::optional<uint64_t> N = V ? V->asU64() : std::nullopt;
+  if (V && (!N || *N < Min || *N > Max)) {
+    Err = std::string("'") + Key + "' must be " + Want;
+    return false;
+  }
+  Out = N.value_or(Out);
+  return true;
+}
+
+/// Reads the optional boolean param \p Key into \p Out.
+bool parseBool(const JsonValue &Params, const char *Key, bool &Out,
+               std::string &Err) {
+  const JsonValue *V = Params.member(Key);
+  std::optional<bool> B = V ? V->asBool() : std::nullopt;
+  if (V && !B) {
+    Err = std::string("'") + Key + "' must be a boolean";
+    return false;
+  }
+  Out = B.value_or(Out);
+  return true;
+}
+
 /// Parses the optional "jobs" param (per-request target parallelism,
 /// mirroring the CLI's --jobs; 0 = hardware concurrency, default 1).
 bool parseJobs(const JsonValue &Params, unsigned &Jobs, std::string &Err) {
-  Jobs = 1;
-  const JsonValue *J = Params.member("jobs");
-  if (!J)
-    return true;
-  std::optional<uint64_t> N = J->asU64();
-  if (!N || *N > 1u << 16) {
-    Err = "'jobs' must be a small unsigned integer";
-    return false;
-  }
-  Jobs = static_cast<unsigned>(*N);
-  return true;
+  uint64_t N = 1;
+  bool Ok = parseU64(Params, "jobs", N, Err, 0, 1u << 16,
+                     "a small unsigned integer");
+  Jobs = static_cast<unsigned>(N);
+  return Ok;
 }
 
 /// Runs query \p Q over every resolved target; results in target order.
@@ -614,50 +637,25 @@ Service::Outcome Service::methodCampaign(const JsonValue &Params, uint64_t Id,
       return fail(ErrorCode::InvalidParams,
                   "unknown 'plan' (want exhaustive | value | bit)");
   }
-  if (const JsonValue *MC = Params.member("max_cycles")) {
-    std::optional<uint64_t> N = MC->asU64();
-    if (!N)
-      return fail(ErrorCode::InvalidParams,
-                  "'max_cycles' must be an unsigned integer");
-    Opts.MaxCycles = *N;
-  }
-  if (const JsonValue *SV = Params.member("sample")) {
-    std::optional<uint64_t> N = SV->asU64();
-    if (!N)
-      return fail(ErrorCode::InvalidParams,
-                  "'sample' must be an unsigned integer");
-    Opts.SampleSize = *N;
-  }
-  if (const JsonValue *SV = Params.member("seed")) {
-    std::optional<uint64_t> N = SV->asU64();
-    if (!N)
-      return fail(ErrorCode::InvalidParams,
-                  "'seed' must be an unsigned integer");
-    Opts.SampleSeed = *N;
-  }
-  if (const JsonValue *TV = Params.member("threads")) {
-    std::optional<uint64_t> N = TV->asU64();
-    if (!N || *N > 1u << 16)
-      return fail(ErrorCode::InvalidParams,
-                  "'threads' must be a small unsigned integer");
-    // CPU-bound engine pool: clamp to the core count like every other
-    // analysis pool (0 = hardware concurrency).
-    Opts.Exec.Threads = ThreadPool::clampJobs(static_cast<unsigned>(*N));
-  }
-  if (const JsonValue *SV = Params.member("shard_size")) {
-    std::optional<uint64_t> N = SV->asU64();
-    if (!N || *N == 0)
-      return fail(ErrorCode::InvalidParams,
-                  "'shard_size' must be a positive integer");
-    Opts.Exec.ShardSize = *N;
-  }
+  uint64_t Threads = Opts.Exec.Threads;
   bool WantProgress = false;
-  if (const JsonValue *PV = Params.member("progress")) {
-    std::optional<bool> B = PV->asBool();
-    if (!B)
-      return fail(ErrorCode::InvalidParams, "'progress' must be a boolean");
-    WantProgress = *B;
-  }
+  const char *Positive = "a positive integer";
+  if (!parseU64(Params, "max_cycles", Opts.MaxCycles, FmtErr) ||
+      !parseU64(Params, "sample", Opts.SampleSize, FmtErr) ||
+      !parseU64(Params, "seed", Opts.SampleSeed, FmtErr) ||
+      !parseU64(Params, "threads", Threads, FmtErr, 0, 1u << 16,
+                "a small unsigned integer") ||
+      !parseU64(Params, "shard_size", Opts.Exec.ShardSize, FmtErr, 1,
+                UINT64_MAX, Positive) ||
+      !parseBool(Params, "prefix_checkpoint", Opts.PrefixCheckpoint,
+                 FmtErr) ||
+      !parseU64(Params, "checkpoint_every_k", Opts.CheckpointEveryK, FmtErr,
+                1, UINT64_MAX, Positive) ||
+      !parseBool(Params, "progress", WantProgress, FmtErr))
+    return fail(ErrorCode::InvalidParams, FmtErr);
+  // CPU-bound engine pool: clamp to the core count like every other
+  // analysis pool (0 = hardware concurrency).
+  Opts.Exec.Threads = ThreadPool::clampJobs(static_cast<unsigned>(Threads));
 
   // Per-target evaluation (target order preserved) with an optional
   // progress stream. Campaign options differing only in Exec fingerprint
@@ -780,15 +778,11 @@ Service::Outcome Service::methodHarden(const JsonValue &Params) {
     }
   }
   bool EmitAsm = false;
-  if (const JsonValue *E = Params.member("emit")) {
-    std::optional<bool> B = E->asBool();
-    if (!B)
-      return fail(ErrorCode::InvalidParams, "'emit' must be a boolean");
-    EmitAsm = *B;
-    if (EmitAsm && (T.Names.size() != 1 || Opts.Budgets.size() != 1))
-      return fail(ErrorCode::InvalidParams,
-                  "'emit' requires exactly one target and one budget");
-  }
+  if (!parseBool(Params, "emit", EmitAsm, FmtErr))
+    return fail(ErrorCode::InvalidParams, FmtErr);
+  if (EmitAsm && (T.Names.size() != 1 || Opts.Budgets.size() != 1))
+    return fail(ErrorCode::InvalidParams,
+                "'emit' requires exactly one target and one budget");
 
   auto Results = evalOver<HardenCmdQuery>(S, T.Progs, Opts, Jobs);
   std::string Output = Json ? renderHardenJson(T.Names, Results, Opts.Budgets)
@@ -825,13 +819,8 @@ Service::Outcome Service::methodReport(const JsonValue &Params) {
     return fail(ErrorCode::InvalidParams, FmtErr);
 
   ReportCmdQuery::Options Opts;
-  if (const JsonValue *MC = Params.member("max_cycles")) {
-    std::optional<uint64_t> N = MC->asU64();
-    if (!N)
-      return fail(ErrorCode::InvalidParams,
-                  "'max_cycles' must be an unsigned integer");
-    Opts.MaxCycles = *N;
-  }
+  if (!parseU64(Params, "max_cycles", Opts.MaxCycles, FmtErr))
+    return fail(ErrorCode::InvalidParams, FmtErr);
 
   auto Results = evalOver<ReportCmdQuery>(S, T.Progs, Opts, Jobs);
   std::string Output = Json ? renderReportJson(T.Names, Results)

@@ -219,6 +219,25 @@ TEST(Driver, UsageErrors) {
   EXPECT_EQ(run({"serve", "--queue-depth", "2000000"}).Status,
             tool::ExitUsage);
   EXPECT_EQ(run({"serve", "--engine", "threads"}).Status, tool::ExitUsage);
+  // A flag given to a subcommand that never reads it is refused, naming
+  // the flag.
+  for (std::vector<std::string> Args :
+       {std::vector<std::string>{"analyze", "--plan", "value"},
+        {"analyze", "--sweep", "5,10"},
+        {"analyze", "--policy", "worst"},
+        {"campaign", "--budget", "5"},
+        {"stats", "--max-cycles", "3"}}) {
+    DriverRun R = run(Args);
+    EXPECT_EQ(R.Status, tool::ExitUsage) << Args[0] << " " << Args[1];
+    EXPECT_NE(R.Err.find(Args[1] + " is only valid with"), std::string::npos)
+        << R.Err;
+  }
+  // `bec client <method>` takes the flags its subcommand sends as params:
+  // this parses, then fails to connect.
+  EXPECT_EQ(run({"client", "campaign", "bitcount", "--plan", "value",
+                 "--sample", "10", "--remote", "127.0.0.1:1"})
+                .Status,
+            tool::ExitBadInput);
 
   DriverRun Unknown = run({"analyze", "--workload", "nonesuch"});
   EXPECT_EQ(Unknown.Status, tool::ExitBadInput);
@@ -518,6 +537,26 @@ TEST(Driver, FuzzUsageErrors) {
   EXPECT_EQ(run({"analyze", "--count", "3"}).Status, tool::ExitUsage);
   EXPECT_EQ(run({"campaign", "--bank", "d"}).Status, tool::ExitUsage);
   EXPECT_EQ(run({"harden", "--emit-corpus", "d"}).Status, tool::ExitUsage);
+}
+
+TEST(Driver, EveryFlagInTheHelpIsRecognized) {
+  std::string Help = run({"--help"}).Out;
+  std::set<std::string> Flags;
+  for (size_t P = Help.find("--"); P != std::string::npos;
+       P = Help.find("--", P + 2))
+    Flags.insert(Help.substr(
+        P, Help.find_first_not_of("abcdefghijklmnopqrstuvwxyz-", P + 2) - P));
+  EXPECT_GT(Flags.size(), 30u);
+  for (const std::string &Flag : Flags) {
+    // `Flag=` keeps the flag from taking the next argument as its value;
+    // the unknown option after it ends every parse that got that far.
+    DriverRun R = run({"analyze", Flag + "=", "--no-such-flag"});
+    bool Recognized = R.Err.find("unknown option '" + Flag + "'") ==
+                      std::string::npos;
+    // --help and --version also work in the subcommand position.
+    EXPECT_TRUE(Recognized || run({Flag}).Status == tool::ExitSuccess)
+        << Flag;
+  }
 }
 
 TEST(Driver, HelpAndListWorkloads) {

@@ -73,6 +73,18 @@ TEST(FuzzGenerator, GeneratedProgramsAreLegalAndTerminate) {
   }
 }
 
+TEST(FuzzGenerator, LoopCountersFitNarrowWidths) {
+  // `li s1, Iters` must fit the register even when the loop bounds
+  // exceed what 4 bits hold.
+  GeneratorOptions O;
+  O.Widths = {4};
+  O.MaxLoopIters = 20;
+  for (uint64_t I = 0; I < 400; ++I) {
+    GeneratedProgram G = generateProgram(programSeed(17, I), O);
+    ASSERT_TRUE(G.Error.empty()) << G.Error << "\n" << G.Asm;
+  }
+}
+
 TEST(FuzzGenerator, CorpusCoversAllIdiomsAndWidths) {
   std::array<uint64_t, NumIdioms> Idioms{};
   std::set<unsigned> Widths;

@@ -18,6 +18,7 @@
 
 #include "api/Api.h"
 #include "obs/Log.h"
+#include "obs/Metrics.h"
 #include "obs/SpanRing.h"
 #include "serve/Client.h"
 #include "serve/Service.h"
@@ -459,6 +460,10 @@ TEST(Loopback, CampaignSamplingParamsValidatedAndServed) {
             ErrorCode::InvalidParams);
   EXPECT_EQ(C.call("campaign/run", "{\"progress\":3}").Code,
             ErrorCode::InvalidParams);
+  EXPECT_EQ(C.call("campaign", "{\"prefix_checkpoint\":\"no\"}").Code,
+            ErrorCode::InvalidParams);
+  EXPECT_EQ(C.call("campaign/run", "{\"checkpoint_every_k\":0}").Code,
+            ErrorCode::InvalidParams);
   Reply R = C.call("campaign/run",
                    "{\"targets\":[\"bitcount\"],\"max_cycles\":200,"
                    "\"sample\":250,\"seed\":5,\"format\":\"json\"}");
@@ -467,6 +472,24 @@ TEST(Loopback, CampaignSamplingParamsValidatedAndServed) {
   ASSERT_NE(Out, nullptr);
   EXPECT_NE(Out->find("\"sample\":"), std::string::npos);
   EXPECT_NE(Out->find("\"population\":"), std::string::npos);
+}
+
+TEST(Loopback, PrefixCheckpointParamReachesTheEngine) {
+  if (!obs::metricsEnabled())
+    GTEST_SKIP() << "metrics are disabled";
+  auto Created = [] {
+    obs::MetricsSnapshot Snap = obs::snapshotMetrics();
+    const obs::MetricValue *M = Snap.find("fi.checkpoints.created");
+    return M ? M->Value : 0;
+  };
+  Service Svc;
+  Client C = Client::loopback(Svc);
+  const std::string Base = "{\"targets\":[\"bitcount\"],\"max_cycles\":300";
+  uint64_t Before = Created();
+  ASSERT_TRUE(C.call("campaign", Base + ",\"prefix_checkpoint\":false}").Ok);
+  EXPECT_EQ(Created(), Before);
+  ASSERT_TRUE(C.call("campaign", Base + "}").Ok);
+  EXPECT_GT(Created(), Before);
 }
 
 TEST(DriverServe, RemoteCampaignProgressStreamsOverTcp) {
@@ -770,6 +793,12 @@ TEST(DriverServe, RemoteSubcommandsAreByteIdentical) {
       {"harden", "--all"},
       {"schedule", "--workload", "bitcount", "--format", "json"},
       {"report", "--workload", "bitcount", "--max-cycles", "300"},
+      // Flags that travel as params.
+      {"campaign", "--workload", "crc32", "--max-cycles", "300", "--sample",
+       "200", "--seed", "7", "--threads", "2", "--shard-size", "16",
+       "--prefix-checkpoint=off"},
+      {"harden", "--workload", "crc32", "--sweep", "0,10"},
+      {"schedule", "--workload", "bitcount", "--jobs", "2"},
   };
   for (const std::vector<std::string> &Cmd : Commands) {
     DriverRun Local = runLocal(Cmd);

@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -45,6 +46,7 @@
 #include <sstream>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 
 using namespace bec;
 using namespace bec::tool;
@@ -54,8 +56,518 @@ namespace {
 //===----------------------------------------------------------------------===//
 // Command line
 //===----------------------------------------------------------------------===//
+//
+// Two tables describe the whole command line: Commands (the subcommands
+// and the becd methods that mirror them) and Flags (every option). The
+// parse loop, the "Target selection" and "Options" sections of the usage
+// text, the "only valid with" gates and the params a remote subcommand
+// sends are all generated from them, so the four cannot drift apart.
 
-const char *const UsageText = R"(usage: bec <subcommand> [options]
+enum class Command { Analyze, Campaign, Schedule, Harden, Report, Fuzz,
+                     Serve, Gateway, Client, Stats };
+
+/// One subcommand. The five analysis pipelines also name the becd method
+/// that runs them remotely; `bec client <method>` mirrors that command.
+struct CommandSpec {
+  Command Cmd;
+  const char *Name;
+  const char *Method = nullptr;       ///< Unary becd method; null = local.
+  const char *StreamMethod = nullptr; ///< Streaming variant, if any.
+};
+
+/// Indexed by Command.
+const CommandSpec Commands[] = {
+    {Command::Analyze, "analyze", "analyze"},
+    {Command::Campaign, "campaign", "campaign", "campaign/run"},
+    {Command::Schedule, "schedule", "schedule"},
+    {Command::Harden, "harden", "harden"},
+    {Command::Report, "report", "report"},
+    {Command::Fuzz, "fuzz"},
+    {Command::Serve, "serve"},
+    {Command::Gateway, "gateway"},
+    {Command::Client, "client"},
+    {Command::Stats, "stats"},
+};
+
+/// The subcommand a `bec client` method mirrors, or null.
+const CommandSpec *mirroredCommand(std::string_view Method) {
+  for (const CommandSpec &C : Commands)
+    if (C.Method && (Method == C.Method ||
+                     (C.StreamMethod && Method == C.StreamMethod)))
+      return &C;
+  return nullptr;
+}
+
+/// A set of commands, one bit per Command.
+using CommandSet = unsigned;
+
+template <class... Cs> constexpr CommandSet in(Cs... C) {
+  return ((1u << unsigned(C)) | ...);
+}
+
+constexpr CommandSet Pipelines =
+    in(Command::Analyze, Command::Campaign, Command::Schedule,
+       Command::Harden, Command::Report);
+constexpr CommandSet Daemons = in(Command::Serve, Command::Gateway);
+constexpr CommandSet AllCommands = (1u << std::size(Commands)) - 1;
+
+/// "serve", "serve or gateway", "campaign, report or fuzz".
+std::string commandList(CommandSet Set) {
+  std::string Out;
+  for (const CommandSpec &C : Commands)
+    if (Set & in(C.Cmd)) {
+      Set &= ~in(C.Cmd); // Empty after the last name.
+      Out += Out.empty() ? "" : Set ? ", " : " or ";
+      Out += C.Name;
+    }
+  return Out;
+}
+
+struct DriverOptions;
+
+/// One command-line flag.
+struct FlagSpec {
+  const char *Name;
+  /// Usage metavariable. Empty: the flag takes no value; "[=...]": the
+  /// value is optional and only given after '='; otherwise the value is
+  /// required, as `--flag value` or `--flag=value`.
+  const char *Meta;
+  /// Exactly the commands whose code reads the flag's field; giving it
+  /// to any other command is a usage error.
+  CommandSet Cmds;
+  const char *Want; ///< What a malformed value should have been.
+  /// Applies the value; false when it is malformed. Null for
+  /// --list-workloads, which the parser acts on.
+  bool (*Apply)(DriverOptions &, const std::string &);
+  const char *Help; ///< Usage text, '\n'-separated lines.
+  const char *Param = nullptr; ///< The becd param it becomes; null = local.
+  void (*Write)(JsonWriter &, const DriverOptions &) = nullptr; ///< Its value.
+};
+
+struct DriverOptions {
+  Command Cmd = Command::Analyze;
+  /// The flags given on the command line, in first-seen order.
+  std::vector<const FlagSpec *> Given;
+  std::vector<std::string> WorkloadNames;
+  std::vector<std::string> AsmFiles;
+  bool AllWorkloads = false;
+  unsigned Jobs = 1;
+  PlanKind Plan = PlanKind::BitLevel;
+  /// campaign: sampling, engine parallelism, checkpointing, progress.
+  uint64_t SampleSize = 0;
+  uint64_t SampleSeed = 1;
+  unsigned CampaignThreads = 1;
+  uint64_t ShardSize = 0;
+  bool PrefixCheckpoint = true;
+  uint64_t CheckpointEveryK = 0;
+  std::string CheckpointPath;
+  bool Resume = false;
+  bool Progress = false;
+  SchedulePolicy EmitPolicy = SchedulePolicy::BestReliability;
+  std::string EmitPath;
+  uint64_t MaxCycles = 0;
+  /// harden: budgets to evaluate (one entry unless --sweep is given).
+  std::vector<double> Budgets = {10.0};
+  /// fuzz: corpus size, exhaustive-run budget, reproducer bank,
+  /// corpus-emission directory.
+  uint64_t FuzzCount = 100;
+  uint64_t FuzzBudget = 0;
+  std::string BankDir;
+  std::string EmitCorpusDir;
+  bool Json = false; ///< --format json
+  /// --remote: offload to a becd server.
+  std::string RemoteHost = "127.0.0.1";
+  uint16_t RemotePort = serve::DefaultPort;
+  /// serve/gateway options.
+  std::string ServeHost = "127.0.0.1";
+  uint16_t ServePort = serve::DefaultPort;
+  std::string PortFile;
+  std::optional<size_t> QueueDepth; ///< Unset: the server's default.
+  std::vector<std::string> GatewayBackends;
+  unsigned HealthIntervalSec = 2;
+  /// serve/gateway structured logging; level Off keeps it disabled.
+  obs::LogLevel LogLevel = obs::LogLevel::Off;
+  obs::LogFormat LogFmt = obs::LogFormat::Jsonl;
+  std::string LogFilePath;
+  /// client: method name followed by its positional arguments.
+  std::vector<std::string> ClientArgs;
+  /// --trace-out: write a Chrome trace of this invocation to FILE.
+  std::string TraceOutPath;
+  /// campaign --profile: write the engine scaling profile to FILE.
+  std::string ProfilePath;
+  /// stats options.
+  uint64_t WatchSeconds = 0;
+  bool StatsMetrics = false;
+
+  bool given(std::string_view Flag) const {
+    return std::any_of(Given.begin(), Given.end(),
+                       [&](const FlagSpec *F) { return Flag == F->Name; });
+  }
+};
+
+/// Parses "host:port" (the --remote spelling). False on bad input.
+bool parseHostPort(const std::string &S, std::string &Host, uint16_t &Port) {
+  size_t Colon = S.rfind(':');
+  if (Colon == std::string::npos || Colon == 0 || Colon + 1 >= S.size())
+    return false;
+  char *End = nullptr;
+  unsigned long P = std::strtoul(S.c_str() + Colon + 1, &End, 10);
+  if (End != S.c_str() + S.size() || P == 0 || P > 65535)
+    return false;
+  Host = S.substr(0, Colon);
+  Port = static_cast<uint16_t>(P);
+  return true;
+}
+
+/// Parses a full-string unsigned decimal; nullopt on any trailing garbage.
+std::optional<uint64_t> parseUnsigned(const std::string &S) {
+  if (S.empty())
+    return std::nullopt;
+  char *End = nullptr;
+  uint64_t V = std::strtoull(S.c_str(), &End, 10);
+  if (End != S.c_str() + S.size())
+    return std::nullopt;
+  return V;
+}
+
+/// Parses a full-string non-negative finite decimal (strtod's "nan"/"inf"
+/// spellings would silently disable the budget gate).
+std::optional<double> parseBudget(const std::string &S) {
+  if (S.empty())
+    return std::nullopt;
+  char *End = nullptr;
+  double V = std::strtod(S.c_str(), &End);
+  if (End != S.c_str() + S.size() || !std::isfinite(V) || V < 0)
+    return std::nullopt;
+  return V;
+}
+
+/// The spellings of the enum-valued flags; parsing is case-insensitive.
+const std::pair<const char *, PlanKind> PlanNames[] = {
+    {"exhaustive", PlanKind::Exhaustive}, {"value", PlanKind::ValueLevel},
+    {"bit", PlanKind::BitLevel}};
+/// In ScheduleCmdResult::PolicyAsm order.
+const std::pair<const char *, SchedulePolicy> PolicyNames[] = {
+    {"source", SchedulePolicy::SourceOrder},
+    {"best", SchedulePolicy::BestReliability},
+    {"worst", SchedulePolicy::WorstReliability}};
+const std::pair<const char *, bool> FormatNames[] = {{"text", false},
+                                                     {"json", true}};
+
+/// The index of \p V in \p Names.
+template <class T, size_t N>
+size_t choiceIndex(const std::pair<const char *, T> (&Names)[N], T V) {
+  size_t I = 0;
+  while (I + 1 < N && Names[I].second != V)
+    ++I;
+  return I;
+}
+
+/// Stores a flag into field \p F by the field's type: a flag without a
+/// value sets a bool, a string takes the value, a list appends it, and a
+/// number must be a decimal in [Lo, Hi].
+template <auto F, uint64_t Lo = 0, uint64_t Hi = UINT64_MAX>
+bool set(DriverOptions &O, const std::string &V) {
+  auto &Field = O.*F;
+  using T = std::remove_reference_t<decltype(Field)>;
+  if constexpr (std::is_same_v<T, bool>) {
+    Field = true;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    Field = V;
+  } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+    Field.push_back(V);
+  } else {
+    std::optional<uint64_t> N = parseUnsigned(V);
+    if (!N || *N < Lo || *N > Hi)
+      return false;
+    Field = static_cast<T>(*N);
+  }
+  return true;
+}
+
+/// Stores what \p Parse (returning an optional) makes of the value.
+template <auto F, auto Parse>
+bool setParsed(DriverOptions &O, const std::string &V) {
+  auto P = Parse(V);
+  O.*F = P.value_or(O.*F);
+  return P.has_value();
+}
+
+/// Stores the value spelled \p V in \p Names into field \p F.
+template <auto F, const auto &Names>
+bool choose(DriverOptions &O, const std::string &V) {
+  for (const auto &[Name, Value] : Names)
+    if (toLowerAscii(V) == Name) {
+      O.*F = Value;
+      return true;
+    }
+  return false;
+}
+
+template <auto F> void write(JsonWriter &W, const DriverOptions &O) {
+  W.value(O.*F);
+}
+
+template <auto F, const auto &Names>
+void writeName(JsonWriter &W, const DriverOptions &O) {
+  W.value(Names[choiceIndex(Names, O.*F)].first);
+}
+
+void writeBudgets(JsonWriter &W, const DriverOptions &O) {
+  W.beginArray();
+  for (double B : O.Budgets)
+    W.value(B);
+  W.endArray();
+}
+
+/// Splits \p V at commas, feeding each item to \p Add; false if an item
+/// is rejected or there is none.
+template <class AddFn> bool eachItem(const std::string &V, AddFn Add) {
+  std::string Item;
+  std::stringstream Stream(V);
+  bool Any = false;
+  while (std::getline(Stream, Item, ','))
+    if (!(Any = Add(Item)))
+      return false;
+  return Any;
+}
+
+using Opt = DriverOptions;
+
+/// Every flag, in usage order; the first NumTargetFlags rows form the
+/// "Target selection" section, the rest "Options".
+const FlagSpec Flags[] = {
+    {"--workload", "NAME", Pipelines, "", set<&Opt::WorkloadNames>,
+     "Add one bundled workload (case-insensitive; repeatable)."},
+    {"--asm", "FILE", Pipelines, "", set<&Opt::AsmFiles>,
+     "Add an external assembly file in the bec dialect."},
+    {"--all", "", Pipelines, "", set<&Opt::AllWorkloads>,
+     "Add every bundled workload."},
+    {"--list-workloads", "", AllCommands, "", nullptr,
+     "Print the bundled workload names and exit."},
+
+    // CPU pools clamp --jobs to the core count at their use sites.
+    {"--jobs", "N", Pipelines | Daemons, "a number", set<&Opt::Jobs>,
+     "Evaluate independent targets on N pool threads\n"
+     "(default 1; 0 = hardware concurrency).\n"
+     "serve/gateway: request worker threads of the event\n"
+     "loop (default: one per core for serve, 8 for gateway).",
+     "jobs",
+     [](JsonWriter &W, const Opt &O) { W.value(std::min(O.Jobs, 1u << 16)); }},
+    {"--plan", "KIND", in(Command::Campaign), "exhaustive | value | bit",
+     choose<&Opt::Plan, PlanNames>,
+     "campaign plan: exhaustive | value | bit (default bit).", "plan",
+     writeName<&Opt::Plan, PlanNames>},
+    {"--sample", "N", in(Command::Campaign), "a number", set<&Opt::SampleSize>,
+     "campaign: execute a stratified sample of N runs of\n"
+     "the planned fault space and report 95% confidence\n"
+     "intervals on the effect rates (0 = run everything;\n"
+     "default 0).",
+     "sample", write<&Opt::SampleSize>},
+    {"--seed", "S", in(Command::Campaign, Command::Fuzz), "a number",
+     set<&Opt::SampleSeed>,
+     "campaign: PRNG seed of --sample (default 1; same\n"
+     "plan + same seed = same sample).\n"
+     "fuzz: the corpus seed — same seed + same options =\n"
+     "byte-identical corpus and report.",
+     "seed", write<&Opt::SampleSeed>},
+    {"--threads", "N", in(Command::Campaign, Command::Fuzz), "a small number",
+     set<&Opt::CampaignThreads, 0, 1u << 16>,
+     "campaign: worker threads of the sharded injection\n"
+     "engine, per target (default 1; 0 = hardware\n"
+     "concurrency). Never changes the report.\n"
+     "fuzz: oracle workers, same guarantee.",
+     "threads", write<&Opt::CampaignThreads>},
+    {"--shard-size", "N", in(Command::Campaign), "a positive number",
+     set<&Opt::ShardSize, 1>,
+     "campaign: runs per engine shard (default: picked\n"
+     "from the plan size). Checkpoints record it.",
+     "shard_size", write<&Opt::ShardSize>},
+    {"--prefix-checkpoint", "[=K|=off]", in(Command::Campaign),
+     "'off' or a positive cycle period",
+     [](Opt &O, const std::string &V) {
+       // Bare: on with the auto-tuned period.
+       O.PrefixCheckpoint = toLowerAscii(V) != "off";
+       O.CheckpointEveryK = 0;
+       return V.empty() || !O.PrefixCheckpoint ||
+              set<&Opt::CheckpointEveryK, 1>(O, V);
+     },
+     "campaign: fork runs from periodic golden snapshots\n"
+     "and splice reconverged suffixes (default: on, period\n"
+     "auto-tuned; =K snapshots every K cycles; =off\n"
+     "replays every suffix). Never changes the report.",
+     "prefix_checkpoint",
+     [](JsonWriter &W, const Opt &O) {
+       W.value(O.PrefixCheckpoint);
+       if (O.CheckpointEveryK)
+         W.key("checkpoint_every_k").value(O.CheckpointEveryK);
+     }},
+    {"--checkpoint", "FILE", in(Command::Campaign, Command::Fuzz), "",
+     set<&Opt::CheckpointPath>,
+     "campaign: stream per-shard result batches to FILE\n"
+     "(JSONL) so an interrupted campaign can be resumed.\n"
+     "Requires exactly one selected target; local only.\n"
+     "fuzz: per-program result records, same conventions."},
+    {"--resume", "", in(Command::Campaign, Command::Fuzz), "",
+     set<&Opt::Resume>,
+     "campaign: load completed shards from --checkpoint\n"
+     "and execute only the remainder. The final report is\n"
+     "byte-identical to an uninterrupted run.\n"
+     "fuzz: skip programs the checkpoint already settled."},
+    {"--progress", "", in(Command::Campaign, Command::Fuzz), "",
+     set<&Opt::Progress>,
+     "campaign: print shard progress to stderr while the\n"
+     "engine runs (works with --remote via the streaming\n"
+     "campaign/run method).\n"
+     "fuzz: print per-program progress to stderr.",
+     "progress", write<&Opt::Progress>},
+    {"--count", "N", in(Command::Fuzz), "a positive number",
+     set<&Opt::FuzzCount, 1>,
+     "fuzz: number of generated programs (default 100)."},
+    {"--bank", "DIR", in(Command::Fuzz), "", set<&Opt::BankDir>,
+     "fuzz: write minimized reproducers of mismatching\n"
+     "programs into DIR as repro_<seed>.s files."},
+    {"--emit-corpus", "DIR", in(Command::Fuzz), "", set<&Opt::EmitCorpusDir>,
+     "fuzz: write the selected corpus into DIR as\n"
+     "seed_<seed>.s files and exit without running any\n"
+     "oracle (regenerates tests/corpus/)."},
+    {"--policy", "KIND", in(Command::Schedule), "best | worst | source",
+     choose<&Opt::EmitPolicy, PolicyNames>,
+     "schedule policy for --emit: best | worst | source\n"
+     "(default best)."},
+    {"--emit", "FILE", in(Command::Schedule, Command::Harden), "",
+     set<&Opt::EmitPath>,
+     "schedule: write the scheduled program of the single\n"
+     "selected target to FILE as assembly.\n"
+     "harden: write the hardened program instead."},
+    {"--budget", "P", in(Command::Harden, Command::Fuzz),
+     "a non-negative number (fuzz: a whole number of runs)",
+     [](Opt &O, const std::string &V) {
+       // The subcommand is parsed before any flag, so --budget can mean
+       // two things: harden's percentage and fuzz's run count.
+       if (O.Cmd == Command::Fuzz)
+         return set<&Opt::FuzzBudget>(O, V);
+       std::optional<double> B = parseBudget(V);
+       O.Budgets = {B.value_or(0)};
+       return B.has_value();
+     },
+     "harden: max extra dynamic instructions in percent\n"
+     "of the baseline run (default 10).\n"
+     "fuzz: cap on the cumulative exhaustive fault-space\n"
+     "size of the corpus; programs are kept in index\n"
+     "order until the budget is spent (0 = unlimited;\n"
+     "the CI smoke job bounds its cost this way).",
+     "budgets", writeBudgets},
+    {"--sweep", "A,B,..", in(Command::Harden), "comma-separated budgets",
+     [](Opt &O, const std::string &V) {
+       O.Budgets.clear();
+       return eachItem(V, [&](const std::string &Item) {
+         std::optional<double> B = parseBudget(Item);
+         O.Budgets.push_back(B.value_or(0));
+         return B.has_value();
+       });
+     },
+     "harden only: evaluate several budgets per target and\n"
+     "print the full cost-vs-vulnerability table.",
+     "budgets", writeBudgets},
+    {"--format", "KIND", Pipelines | in(Command::Fuzz), "text | json",
+     choose<&Opt::Json, FormatNames>,
+     "output format of any subcommand: text | json\n"
+     "(default text).",
+     "format", writeName<&Opt::Json, FormatNames>},
+    {"--max-cycles", "N", in(Command::Campaign, Command::Report, Command::Fuzz),
+     "a number", set<&Opt::MaxCycles>,
+     "Truncate campaign/validation windows to N cycles\n"
+     "(0 = whole trace; default 0). fuzz: the oracle\n"
+     "injection window (0 keeps the default of 48).",
+     "max_cycles", write<&Opt::MaxCycles>},
+    {"--remote", "H:P", Pipelines | in(Command::Client, Command::Stats),
+     "host:port",
+     [](Opt &O, const std::string &V) {
+       return parseHostPort(V, O.RemoteHost, O.RemotePort);
+     },
+     "Run this subcommand on a becd server instead of\n"
+     "in-process (output is byte-identical). Also selects\n"
+     "the server for `bec client` and `bec stats`\n"
+     "(default 127.0.0.1:4690)."},
+    {"--trace-out", "FILE", AllCommands, "", set<&Opt::TraceOutPath>,
+     "Write a Chrome trace_event JSON file covering this\n"
+     "invocation (load in Perfetto or chrome://tracing):\n"
+     "session query evaluation, engine workers (runs,\n"
+     "steals, snapshot rebuilds, idle time), serve request\n"
+     "handling, fuzz oracle stages. Combined with --remote\n"
+     "(or `bec client`) the request carries a distributed\n"
+     "trace context; the servers' spans are collected via\n"
+     "trace/dump and stitched into the same file, so one\n"
+     "timeline shows client -> gateway -> backend\n"
+     "(failover retries included). Valid with every\n"
+     "subcommand; never changes the printed output."},
+    {"--profile", "FILE", in(Command::Campaign), "", set<&Opt::ProfilePath>,
+     "campaign: write the engine scaling profile to FILE\n"
+     "as JSON — per-worker wall-time split into run /\n"
+     "snapshot-rebuild / steal / idle phases, per-shard\n"
+     "records, and a machine-readable bottleneck\n"
+     "diagnosis. Requires exactly one selected target;\n"
+     "local only (profiles this process's engine). Never\n"
+     "changes the report."},
+    {"--watch", "SEC", in(Command::Stats), "seconds in 1..86400",
+     set<&Opt::WatchSeconds, 1, 86400>,
+     "stats: re-print every SEC seconds until interrupted.\n"
+     "With --remote, iterations after the first print\n"
+     "per-interval deltas (req/s, errors/s, window cache\n"
+     "hit rate) instead of repeating cumulative totals."},
+    {"--metrics", "", in(Command::Stats), "", set<&Opt::StatsMetrics>,
+     "stats: print the raw Prometheus text exposition\n"
+     "instead of the human table (the scrape format the\n"
+     "becd `metrics` method returns)."},
+    {"--host", "ADDR", Daemons, "", set<&Opt::ServeHost>,
+     "serve/gateway: bind address (default 127.0.0.1)."},
+    {"--port", "N", Daemons, "a number in 0..65535",
+     set<&Opt::ServePort, 0, 65535>,
+     "serve/gateway: TCP port; 0 picks an ephemeral port\n"
+     "(default 4690)."},
+    {"--port-file", "FILE", Daemons, "", set<&Opt::PortFile>,
+     "serve/gateway: write the bound port to FILE once\n"
+     "listening (for scripts using --port 0)."},
+    {"--queue-depth", "N", in(Command::Serve), "a number in 0..1048576",
+     set<&Opt::QueueDepth, 0, 1u << 20>,
+     "serve: admitted requests that may wait for a worker\n"
+     "before the next is answered with error 105\n"
+     "`overloaded` (default 256)."},
+    {"--backends", "LIST", in(Command::Gateway),
+     "comma-separated host:port entries",
+     [](Opt &O, const std::string &V) {
+       return eachItem(V, [&](const std::string &Item) {
+         std::string Host;
+         uint16_t Port = 0;
+         O.GatewayBackends.push_back(Item);
+         return parseHostPort(Item, Host, Port);
+       });
+     },
+     "gateway only (required): comma-separated becd\n"
+     "backends, host:port each."},
+    {"--health-interval", "SEC", in(Command::Gateway), "seconds in 1..3600",
+     set<&Opt::HealthIntervalSec, 1, 3600>,
+     "gateway: seconds between per-backend `version`\n"
+     "health probes (default 2)."},
+    {"--log-level", "LVL", Daemons, "debug | info | warn | error | off",
+     setParsed<&Opt::LogLevel, obs::parseLogLevel>,
+     "serve/gateway: structured-log verbosity, one of\n"
+     "debug | info | warn | error | off (default off —\n"
+     "logging is disabled unless this is given). The\n"
+     "running daemon's level can be changed later with\n"
+     "the log/level method."},
+    {"--log-file", "FILE", Daemons, "", set<&Opt::LogFilePath>,
+     "serve/gateway: append log lines to FILE instead of\n"
+     "stderr."},
+    {"--log-format", "KIND", Daemons, "jsonl | logfmt",
+     setParsed<&Opt::LogFmt, obs::parseLogFormat>,
+     "serve/gateway: log line shape, jsonl (default) or\n"
+     "logfmt."},
+};
+constexpr size_t NumTargetFlags = 4;
+
+const char *const SubcommandText = R"(usage: bec <subcommand> [options]
 
 Subcommands:
   analyze    Static fault-space metrics per target (Table III shape).
@@ -96,246 +608,52 @@ Subcommands:
              --remote H:P — a live becd server's counters, per-method
              latency percentiles, cache hit rates and gauges.
   version    Print the API version and build type (also: --version).
-
-Target selection (default: all bundled workloads):
-  --workload NAME   Add one bundled workload (case-insensitive; repeatable).
-  --asm FILE        Add an external assembly file in the bec dialect.
-  --all             Add every bundled workload.
-  --list-workloads  Print the bundled workload names and exit.
-
-Options:
-  --jobs N          Evaluate independent targets on N pool threads
-                    (default 1; 0 = hardware concurrency).
-  --plan KIND       campaign plan: exhaustive | value | bit (default bit).
-  --sample N        campaign: execute a stratified sample of N runs of
-                    the planned fault space and report 95% confidence
-                    intervals on the effect rates (0 = run everything;
-                    default 0).
-  --seed S          campaign: PRNG seed of --sample (default 1; same
-                    plan + same seed = same sample).
-                    fuzz: the corpus seed — same seed + same options =
-                    byte-identical corpus and report.
-  --threads N       campaign: worker threads of the sharded injection
-                    engine, per target (default 1; 0 = hardware
-                    concurrency). Never changes the report.
-                    fuzz: oracle workers, same guarantee.
-  --shard-size N    campaign: runs per engine shard (default: picked
-                    from the plan size). Checkpoints record it.
-  --prefix-checkpoint[=K|=off]
-                    campaign: fork runs from periodic golden snapshots
-                    and splice reconverged suffixes (default: on, period
-                    auto-tuned; =K snapshots every K cycles; =off
-                    replays every suffix). Never changes the report.
-  --checkpoint FILE campaign: stream per-shard result batches to FILE
-                    (JSONL) so an interrupted campaign can be resumed.
-                    Requires exactly one selected target; local only.
-                    fuzz: per-program result records, same conventions.
-  --resume          campaign: load completed shards from --checkpoint
-                    and execute only the remainder. The final report is
-                    byte-identical to an uninterrupted run.
-                    fuzz: skip programs the checkpoint already settled.
-  --progress        campaign: print shard progress to stderr while the
-                    engine runs (works with --remote via the streaming
-                    campaign/run method).
-                    fuzz: print per-program progress to stderr.
-  --count N         fuzz: number of generated programs (default 100).
-  --bank DIR        fuzz: write minimized reproducers of mismatching
-                    programs into DIR as repro_<seed>.s files.
-  --emit-corpus DIR fuzz: write the selected corpus into DIR as
-                    seed_<seed>.s files and exit without running any
-                    oracle (regenerates tests/corpus/).
-  --policy KIND     schedule policy for --emit: best | worst | source
-                    (default best).
-  --emit FILE       schedule: write the scheduled program of the single
-                    selected target to FILE as assembly.
-                    harden: write the hardened program instead.
-  --budget P        harden: max extra dynamic instructions in percent
-                    of the baseline run (default 10).
-                    fuzz: cap on the cumulative exhaustive fault-space
-                    size of the corpus; programs are kept in index
-                    order until the budget is spent (0 = unlimited;
-                    the CI smoke job bounds its cost this way).
-  --sweep A,B,..    harden only: evaluate several budgets per target and
-                    print the full cost-vs-vulnerability table.
-  --format KIND     output format of any subcommand: text | json
-                    (default text).
-  --max-cycles N    Truncate campaign/validation windows to N cycles
-                    (0 = whole trace; default 0). fuzz: the oracle
-                    injection window (0 keeps the default of 48).
-  --remote H:P      Run this subcommand on a becd server instead of
-                    in-process (output is byte-identical). Also selects
-                    the server for `bec client` and `bec stats`
-                    (default 127.0.0.1:4690).
-  --trace-out FILE  Write a Chrome trace_event JSON file covering this
-                    invocation (load in Perfetto or chrome://tracing):
-                    session query evaluation, engine workers (runs,
-                    steals, snapshot rebuilds, idle time), serve request
-                    handling, fuzz oracle stages. Combined with --remote
-                    (or `bec client`) the request carries a distributed
-                    trace context; the servers' spans are collected via
-                    trace/dump and stitched into the same file, so one
-                    timeline shows client -> gateway -> backend
-                    (failover retries included). Valid with every
-                    subcommand; never changes the printed output.
-  --profile FILE    campaign: write the engine scaling profile to FILE
-                    as JSON — per-worker wall-time split into run /
-                    snapshot-rebuild / steal / idle phases, per-shard
-                    records, and a machine-readable bottleneck
-                    diagnosis. Requires exactly one selected target;
-                    local only (profiles this process's engine). Never
-                    changes the report.
-  --watch SEC       stats: re-print every SEC seconds until interrupted.
-                    With --remote, iterations after the first print
-                    per-interval deltas (req/s, errors/s, window cache
-                    hit rate) instead of repeating cumulative totals.
-  --metrics         stats: print the raw Prometheus text exposition
-                    instead of the human table (the scrape format the
-                    becd `metrics` method returns).
-  --host ADDR       serve/gateway: bind address (default 127.0.0.1).
-  --port N          serve/gateway: TCP port; 0 picks an ephemeral port
-                    (default 4690).
-  --port-file FILE  serve/gateway: write the bound port to FILE once
-                    listening (for scripts using --port 0).
-  --queue-depth N   serve: admitted requests that may wait for a worker
-                    before the next is answered with error 105
-                    `overloaded` (default 256).
-  --backends LIST   gateway only (required): comma-separated becd
-                    backends, host:port each.
-  --health-interval SEC
-                    gateway: seconds between per-backend `version`
-                    health probes (default 2).
-  --log-level LVL   serve/gateway: structured-log verbosity, one of
-                    debug | info | warn | error | off (default off —
-                    logging is disabled unless this is given). The
-                    running daemon's level can be changed later with
-                    the log/level method.
-  --log-file FILE   serve/gateway: append log lines to FILE instead of
-                    stderr.
-  --log-format KIND serve/gateway: log line shape, jsonl (default) or
-                    logfmt.
-  -h, --help        Print this help and exit.
-
-Exit codes: 0 success, 1 usage error, 2 bad input, 3 unsound validation.
 )";
 
-enum class Command { Analyze, Campaign, Schedule, Harden, Report, Fuzz,
-                     Serve, Gateway, Client, Stats };
-enum class OutputFormat { Text, Json };
-
-struct DriverOptions {
-  Command Cmd = Command::Analyze;
-  std::vector<std::string> WorkloadNames;
-  std::vector<std::string> AsmFiles;
-  bool AllWorkloads = false;
-  unsigned Jobs = 1;
-  bool JobsExplicit = false;
-  PlanKind Plan = PlanKind::BitLevel;
-  /// campaign: sampling, engine parallelism, checkpointing, progress.
-  uint64_t SampleSize = 0;
-  uint64_t SampleSeed = 1;
-  unsigned CampaignThreads = 1;
-  bool CampaignThreadsExplicit = false;
-  uint64_t ShardSize = 0;
-  bool PrefixCheckpoint = true;
-  uint64_t CheckpointEveryK = 0;
-  bool PrefixCheckpointExplicit = false;
-  std::string CheckpointPath;
-  bool Resume = false;
-  bool Progress = false;
-  bool SeedExplicit = false;
-  SchedulePolicy EmitPolicy = SchedulePolicy::BestReliability;
-  std::string EmitPath;
-  uint64_t MaxCycles = 0;
-  /// harden: budgets to evaluate (one entry unless --sweep is given).
-  std::vector<double> Budgets = {10.0};
-  /// fuzz: corpus size, exhaustive-run budget, reproducer bank,
-  /// corpus-emission directory.
-  uint64_t FuzzCount = 100;
-  uint64_t FuzzBudget = 0;
-  std::string BankDir;
-  std::string EmitCorpusDir;
-  bool FuzzFlagsUsed = false;
-  OutputFormat Format = OutputFormat::Text;
-  /// --remote: offload to a becd server.
-  bool Remote = false;
-  std::string RemoteHost = "127.0.0.1";
-  uint16_t RemotePort = serve::DefaultPort;
-  /// serve/gateway options (--host/--port/--port-file are shared; the
-  /// queue depth is serve-only, the backend list and health cadence
-  /// gateway-only).
-  std::string ServeHost = "127.0.0.1";
-  uint16_t ServePort = serve::DefaultPort;
-  std::string PortFile;
-  bool ServeFlagsUsed = false;
-  std::optional<size_t> QueueDepth; ///< Unset: the server's default.
-  std::vector<std::string> GatewayBackends;
-  unsigned HealthIntervalMs = 2000;
-  bool GatewayFlagsUsed = false;
-  /// serve/gateway structured logging (--log-level/--log-file/
-  /// --log-format). Level Off keeps the logger disabled.
-  obs::LogLevel LogLevel = obs::LogLevel::Off;
-  obs::LogFormat LogFmt = obs::LogFormat::Jsonl;
-  std::string LogFilePath;
-  bool LogFlagsUsed = false;
-  /// client: method name followed by its positional arguments.
-  std::vector<std::string> ClientArgs;
-  /// --trace-out: write a Chrome trace of this invocation to FILE.
-  std::string TraceOutPath;
-  /// campaign --profile: write the engine scaling profile to FILE.
-  std::string ProfilePath;
-  /// stats options.
-  uint64_t WatchSeconds = 0;
-  bool StatsMetrics = false;
-  bool StatsFlagsUsed = false;
-};
-
-/// Parses "host:port" (the --remote spelling). False on bad input.
-bool parseHostPort(const std::string &S, std::string &Host, uint16_t &Port) {
-  size_t Colon = S.rfind(':');
-  if (Colon == std::string::npos || Colon == 0 || Colon + 1 >= S.size())
-    return false;
-  char *End = nullptr;
-  unsigned long P = std::strtoul(S.c_str() + Colon + 1, &End, 10);
-  if (End != S.c_str() + S.size() || P == 0 || P > 65535)
-    return false;
-  Host = S.substr(0, Colon);
-  Port = static_cast<uint16_t>(P);
-  return true;
-}
-
-/// Parses a full-string unsigned decimal; nullopt on any trailing garbage.
-std::optional<uint64_t> parseUnsigned(const std::string &S) {
-  if (S.empty())
-    return std::nullopt;
-  char *End = nullptr;
-  uint64_t V = std::strtoull(S.c_str(), &End, 10);
-  if (End != S.c_str() + S.size())
-    return std::nullopt;
-  return V;
-}
-
-/// Parses a full-string non-negative finite decimal (strtod's "nan"/"inf"
-/// spellings would silently disable the budget gate).
-std::optional<double> parseBudget(const std::string &S) {
-  if (S.empty())
-    return std::nullopt;
-  char *End = nullptr;
-  double V = std::strtod(S.c_str(), &End);
-  if (End != S.c_str() + S.size() || !std::isfinite(V) || V < 0)
-    return std::nullopt;
-  return V;
+/// The full --help text: the subcommand list, then the flag table.
+const std::string &usageText() {
+  static const std::string Text = [] {
+    const std::string Indent(20, ' '); // The help column.
+    std::string Out = SubcommandText;
+    Out += "\nTarget selection (default: all bundled workloads):\n";
+    for (size_t I = 0; I < std::size(Flags); ++I) {
+      const FlagSpec &F = Flags[I];
+      if (I == NumTargetFlags)
+        Out += "\nOptions:\n";
+      std::string Head = std::string("  ") + F.Name;
+      if (*F.Meta && *F.Meta != '[')
+        Head += ' ';
+      Head += F.Meta;
+      if (Head.size() < Indent.size())
+        Head.resize(Indent.size(), ' ');
+      else
+        Head += "\n" + Indent;
+      Out += Head;
+      for (const char *C = F.Help; *C; ++C) {
+        Out += *C;
+        if (*C == '\n')
+          Out += Indent;
+      }
+      Out += "\n";
+    }
+    Out += "  -h, --help        Print this help and exit.\n\n"
+           "Exit codes: 0 success, 1 usage error, 2 bad input, 3 unsound "
+           "validation.\n";
+    return Out;
+  }();
+  return Text;
 }
 
 int parseArgs(const std::vector<std::string> &Args, DriverOptions &Opts,
               std::ostream &Out, std::ostream &Err) {
   if (Args.empty()) {
-    Err << UsageText;
+    Err << usageText();
     return ExitUsage;
   }
   size_t I = 0;
   std::string Sub = Args[I++];
   if (Sub == "-h" || Sub == "--help") {
-    Out << UsageText;
+    Out << usageText();
     return -1; // Sentinel: handled, exit 0.
   }
   if (Sub == "version" || Sub == "--version") {
@@ -343,573 +661,106 @@ int parseArgs(const std::vector<std::string> &Args, DriverOptions &Opts,
         << ", protocol " << serve::ProtocolVersion << ")\n";
     return -1;
   }
-  if (Sub == "analyze")
-    Opts.Cmd = Command::Analyze;
-  else if (Sub == "campaign")
-    Opts.Cmd = Command::Campaign;
-  else if (Sub == "schedule")
-    Opts.Cmd = Command::Schedule;
-  else if (Sub == "harden")
-    Opts.Cmd = Command::Harden;
-  else if (Sub == "report")
-    Opts.Cmd = Command::Report;
-  else if (Sub == "fuzz")
-    Opts.Cmd = Command::Fuzz;
-  else if (Sub == "serve")
-    Opts.Cmd = Command::Serve;
-  else if (Sub == "gateway")
-    Opts.Cmd = Command::Gateway;
-  else if (Sub == "client")
-    Opts.Cmd = Command::Client;
-  else if (Sub == "stats")
-    Opts.Cmd = Command::Stats;
-  else {
-    Err << "bec: unknown subcommand '" << Sub << "'\n" << UsageText;
+  const CommandSpec *Cmd = nullptr;
+  for (const CommandSpec &C : Commands)
+    if (Sub == C.Name)
+      Cmd = &C;
+  if (!Cmd) {
+    Err << "bec: unknown subcommand '" << Sub << "'\n" << usageText();
     return ExitUsage;
   }
-
-  // Both `--flag value` and `--flag=value` are accepted: InlineValue
-  // holds the part after '=' until the flag's branch consumes it.
-  std::optional<std::string> InlineValue;
-  auto Value = [&](const std::string &Flag) -> std::optional<std::string> {
-    if (InlineValue) {
-      std::string V = std::move(*InlineValue);
-      InlineValue.reset();
-      return V;
-    }
-    if (I >= Args.size()) {
-      Err << "bec: " << Flag << " requires a value\n";
-      return std::nullopt;
-    }
-    return Args[I++];
-  };
+  Opts.Cmd = Cmd->Cmd;
 
   while (I < Args.size()) {
     std::string Arg = Args[I++];
-    InlineValue.reset();
-    if (Arg.size() > 2 && Arg[0] == '-' && Arg[1] == '-') {
-      size_t Eq = Arg.find('=');
-      if (Eq != std::string::npos) {
-        InlineValue = Arg.substr(Eq + 1);
-        Arg.resize(Eq);
-      }
+    // Both `--flag value` and `--flag=value` are accepted.
+    std::optional<std::string> Inline;
+    size_t Eq = Arg.find('=');
+    if (Arg.size() > 2 && Arg[0] == '-' && Arg[1] == '-' &&
+        Eq != std::string::npos) {
+      Inline = Arg.substr(Eq + 1);
+      Arg.resize(Eq);
     }
     if (Arg == "-h" || Arg == "--help") {
-      Out << UsageText;
+      Out << usageText();
       return -1;
-    } else if (Arg == "--workload") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.WorkloadNames.push_back(*V);
-    } else if (Arg == "--asm") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.AsmFiles.push_back(*V);
-    } else if (Arg == "--all") {
-      Opts.AllWorkloads = true;
-    } else if (Arg == "--list-workloads") {
+    }
+    const FlagSpec *F = nullptr;
+    for (const FlagSpec &Row : Flags)
+      if (Arg == Row.Name)
+        F = &Row;
+    if (!F && Opts.Cmd == Command::Client && !Arg.empty() && Arg[0] != '-') {
+      // Client grammar: the method, then its positional target names.
+      Opts.ClientArgs.push_back(Arg);
+      continue;
+    }
+    if (!F) {
+      Err << "bec: unknown option '" << Arg << "'\n" << usageText();
+      return ExitUsage;
+    }
+    if (!F->Apply) { // --list-workloads
       for (const Workload &W : allWorkloads())
         Out << W.Name << "\n";
       return -1;
-    } else if (Arg == "--jobs") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N) {
-        Err << "bec: --jobs wants a number, got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      // Kept unclamped: CPU pools clamp to the core count at use sites,
-      // while `serve` sizes an I/O-bound connection pool from it.
-      Opts.Jobs = static_cast<unsigned>(*N);
-      Opts.JobsExplicit = true;
-    } else if (Arg == "--max-cycles") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N) {
-        Err << "bec: --max-cycles wants a number, got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      Opts.MaxCycles = *N;
-    } else if (Arg == "--plan") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::string K = toLowerAscii(*V);
-      if (K == "exhaustive")
-        Opts.Plan = PlanKind::Exhaustive;
-      else if (K == "value")
-        Opts.Plan = PlanKind::ValueLevel;
-      else if (K == "bit")
-        Opts.Plan = PlanKind::BitLevel;
-      else {
-        Err << "bec: unknown --plan '" << *V
-            << "' (want exhaustive | value | bit)\n";
-        return ExitUsage;
-      }
-    } else if (Arg == "--sample") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N) {
-        Err << "bec: --sample wants a number, got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      Opts.SampleSize = *N;
-    } else if (Arg == "--seed") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N) {
-        Err << "bec: --seed wants a number, got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      Opts.SampleSeed = *N;
-      Opts.SeedExplicit = true;
-    } else if (Arg == "--threads") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N || *N > 1u << 16) {
-        Err << "bec: --threads wants a small number, got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      Opts.CampaignThreads = static_cast<unsigned>(*N);
-      Opts.CampaignThreadsExplicit = true;
-    } else if (Arg == "--shard-size") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N || *N == 0) {
-        Err << "bec: --shard-size wants a positive number, got '" << *V
-            << "'\n";
-        return ExitUsage;
-      }
-      Opts.ShardSize = *N;
-    } else if (Arg == "--prefix-checkpoint") {
-      // Value is optional: bare = on with the auto-tuned period.
-      Opts.PrefixCheckpoint = true;
-      Opts.CheckpointEveryK = 0;
-      Opts.PrefixCheckpointExplicit = true;
-      if (InlineValue) {
-        auto V = Value(Arg);
-        std::string K = toLowerAscii(*V);
-        if (K == "off") {
-          Opts.PrefixCheckpoint = false;
-        } else {
-          std::optional<uint64_t> N = parseUnsigned(*V);
-          if (!N || *N == 0) {
-            Err << "bec: --prefix-checkpoint wants 'off' or a positive "
-                   "cycle period, got '" << *V << "'\n";
-            return ExitUsage;
-          }
-          Opts.CheckpointEveryK = *N;
-        }
-      }
-    } else if (Arg == "--checkpoint") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.CheckpointPath = *V;
-    } else if (Arg == "--resume") {
-      Opts.Resume = true;
-    } else if (Arg == "--progress") {
-      Opts.Progress = true;
-    } else if (Arg == "--policy") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::string K = toLowerAscii(*V);
-      if (K == "best")
-        Opts.EmitPolicy = SchedulePolicy::BestReliability;
-      else if (K == "worst")
-        Opts.EmitPolicy = SchedulePolicy::WorstReliability;
-      else if (K == "source")
-        Opts.EmitPolicy = SchedulePolicy::SourceOrder;
-      else {
-        Err << "bec: unknown --policy '" << *V
-            << "' (want best | worst | source)\n";
-        return ExitUsage;
-      }
-    } else if (Arg == "--emit") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.EmitPath = *V;
-    } else if (Arg == "--budget") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      // The subcommand is parsed before any flag, so --budget can mean
-      // two things: harden's percentage and fuzz's run count.
-      if (Opts.Cmd == Command::Fuzz) {
-        std::optional<uint64_t> N = parseUnsigned(*V);
-        if (!N) {
-          Err << "bec: fuzz --budget wants a number of exhaustive runs, "
-                 "got '" << *V << "'\n";
-          return ExitUsage;
-        }
-        Opts.FuzzBudget = *N;
-        Opts.FuzzFlagsUsed = true;
-      } else {
-        std::optional<double> B = parseBudget(*V);
-        if (!B) {
-          Err << "bec: --budget wants a non-negative number, got '" << *V
-              << "'\n";
-          return ExitUsage;
-        }
-        Opts.Budgets = {*B};
-      }
-    } else if (Arg == "--count") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N || *N == 0) {
-        Err << "bec: --count wants a positive number, got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      Opts.FuzzCount = *N;
-      Opts.FuzzFlagsUsed = true;
-    } else if (Arg == "--bank") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.BankDir = *V;
-      Opts.FuzzFlagsUsed = true;
-    } else if (Arg == "--emit-corpus") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.EmitCorpusDir = *V;
-      Opts.FuzzFlagsUsed = true;
-    } else if (Arg == "--sweep") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.Budgets.clear();
-      std::string Item;
-      std::stringstream Stream(*V);
-      while (std::getline(Stream, Item, ',')) {
-        std::optional<double> B = parseBudget(Item);
-        if (!B) {
-          Err << "bec: --sweep wants comma-separated budgets, got '" << *V
-              << "'\n";
-          return ExitUsage;
-        }
-        Opts.Budgets.push_back(*B);
-      }
-      if (Opts.Budgets.empty()) {
-        Err << "bec: --sweep needs at least one budget\n";
-        return ExitUsage;
-      }
-    } else if (Arg == "--format") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::string K = toLowerAscii(*V);
-      if (K == "text")
-        Opts.Format = OutputFormat::Text;
-      else if (K == "json")
-        Opts.Format = OutputFormat::Json;
-      else {
-        Err << "bec: unknown --format '" << *V << "' (want text | json)\n";
-        return ExitUsage;
-      }
-    } else if (Arg == "--remote") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      if (!parseHostPort(*V, Opts.RemoteHost, Opts.RemotePort)) {
-        Err << "bec: --remote wants host:port, got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      Opts.Remote = true;
-    } else if (Arg == "--host") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.ServeHost = *V;
-      Opts.ServeFlagsUsed = true;
-    } else if (Arg == "--port") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N || *N > 65535) {
-        Err << "bec: --port wants a number in 0..65535, got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      Opts.ServePort = static_cast<uint16_t>(*N);
-      Opts.ServeFlagsUsed = true;
-    } else if (Arg == "--port-file") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.PortFile = *V;
-      Opts.ServeFlagsUsed = true;
-    } else if (Arg == "--queue-depth") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N || *N > 1u << 20) {
-        Err << "bec: --queue-depth wants a number in 0..1048576, got '" << *V
-            << "'\n";
-        return ExitUsage;
-      }
-      Opts.QueueDepth = static_cast<size_t>(*N);
-    } else if (Arg == "--backends") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::string Item;
-      std::stringstream Stream(*V);
-      while (std::getline(Stream, Item, ',')) {
-        std::string H;
-        uint16_t P = 0;
-        if (!parseHostPort(Item, H, P)) {
-          Err << "bec: --backends wants comma-separated host:port entries, "
-                 "got '" << Item << "'\n";
-          return ExitUsage;
-        }
-        Opts.GatewayBackends.push_back(Item);
-      }
-      if (Opts.GatewayBackends.empty()) {
-        Err << "bec: --backends needs at least one host:port\n";
-        return ExitUsage;
-      }
-      Opts.GatewayFlagsUsed = true;
-    } else if (Arg == "--health-interval") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N || *N == 0 || *N > 3600) {
-        Err << "bec: --health-interval wants seconds in 1..3600, got '" << *V
-            << "'\n";
-        return ExitUsage;
-      }
-      Opts.HealthIntervalMs = static_cast<unsigned>(*N * 1000);
-      Opts.GatewayFlagsUsed = true;
-    } else if (Arg == "--trace-out") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.TraceOutPath = *V;
-    } else if (Arg == "--profile") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.ProfilePath = *V;
-    } else if (Arg == "--log-level") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<obs::LogLevel> L = obs::parseLogLevel(*V);
-      if (!L) {
-        Err << "bec: --log-level wants debug | info | warn | error | off, "
-               "got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      Opts.LogLevel = *L;
-      Opts.LogFlagsUsed = true;
-    } else if (Arg == "--log-file") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.LogFilePath = *V;
-      Opts.LogFlagsUsed = true;
-    } else if (Arg == "--log-format") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<obs::LogFormat> F = obs::parseLogFormat(*V);
-      if (!F) {
-        Err << "bec: --log-format wants jsonl or logfmt, got '" << *V
-            << "'\n";
-        return ExitUsage;
-      }
-      Opts.LogFmt = *F;
-      Opts.LogFlagsUsed = true;
-    } else if (Arg == "--watch") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N || *N == 0 || *N > 86400) {
-        Err << "bec: --watch wants seconds in 1..86400, got '" << *V
-            << "'\n";
-        return ExitUsage;
-      }
-      Opts.WatchSeconds = *N;
-      Opts.StatsFlagsUsed = true;
-    } else if (Arg == "--metrics") {
-      Opts.StatsMetrics = true;
-      Opts.StatsFlagsUsed = true;
-    } else if (Opts.Cmd == Command::Client && !Arg.empty() && Arg[0] != '-') {
-      // Client grammar: the method, then its positional target names.
-      Opts.ClientArgs.push_back(Arg);
-    } else {
-      Err << "bec: unknown option '" << Arg << "'\n" << UsageText;
-      return ExitUsage;
     }
-    if (InlineValue) {
-      // A flag that takes no value left the `=value` unconsumed.
+    bool Required = *F->Meta && *F->Meta != '[';
+    if (Inline && !*F->Meta) {
       Err << "bec: " << Arg << " takes no value\n";
       return ExitUsage;
     }
+    if (!Inline && Required && I == Args.size()) {
+      Err << "bec: " << Arg << " requires a value\n";
+      return ExitUsage;
+    }
+    std::string V = Inline ? *Inline : Required ? Args[I++] : "";
+    if (!F->Apply(Opts, V)) {
+      Err << "bec: " << Arg << " wants " << F->Want << ", got '" << V
+          << "'\n";
+      return ExitUsage;
+    }
+    if (!Opts.given(F->Name))
+      Opts.Given.push_back(F);
   }
-  if (!Opts.EmitPath.empty() && Opts.Cmd != Command::Schedule &&
-      Opts.Cmd != Command::Harden) {
-    Err << "bec: --emit is only valid with schedule or harden\n";
-    return ExitUsage;
-  }
-  // Campaign-engine flags: --sample/--seed/--threads/--shard-size and
-  // --progress shape campaign execution (and are forwarded by `client`
-  // for campaign methods — silently ignoring them on other methods
-  // would run a different campaign than the user asked for); `fuzz`
-  // reuses the seed/threads/progress/checkpoint vocabulary with the
-  // same determinism contract.
-  bool ClientCampaign =
-      Opts.Cmd == Command::Client && !Opts.ClientArgs.empty() &&
-      (Opts.ClientArgs[0] == "campaign" ||
-       Opts.ClientArgs[0] == "campaign/run");
-  if ((Opts.SampleSize || Opts.ShardSize) &&
-      Opts.Cmd != Command::Campaign && !ClientCampaign) {
-    Err << "bec: --sample/--shard-size are only valid with campaign "
-           "(or client campaign methods)\n";
-    return ExitUsage;
-  }
-  if (Opts.PrefixCheckpointExplicit && Opts.Cmd != Command::Campaign) {
-    Err << "bec: --prefix-checkpoint is only valid with campaign\n";
-    return ExitUsage;
-  }
-  if ((Opts.SeedExplicit || Opts.CampaignThreadsExplicit || Opts.Progress) &&
-      Opts.Cmd != Command::Campaign && Opts.Cmd != Command::Fuzz &&
-      !ClientCampaign) {
-    Err << "bec: --seed/--threads/--progress are only valid with campaign "
-           "or fuzz (or client campaign methods)\n";
-    return ExitUsage;
-  }
-  if ((!Opts.CheckpointPath.empty() || Opts.Resume) &&
-      Opts.Cmd != Command::Campaign && Opts.Cmd != Command::Fuzz) {
-    Err << "bec: --checkpoint/--resume are only valid with campaign or "
-           "fuzz\n";
-    return ExitUsage;
-  }
-  if (Opts.FuzzFlagsUsed && Opts.Cmd != Command::Fuzz) {
-    Err << "bec: --count/--bank/--emit-corpus are only valid with fuzz\n";
-    return ExitUsage;
-  }
-  if (Opts.Cmd == Command::Fuzz &&
-      (Opts.AllWorkloads || !Opts.WorkloadNames.empty() ||
-       !Opts.AsmFiles.empty())) {
-    // The fuzzer generates its own corpus from the seed; target flags
-    // would silently select nothing.
-    Err << "bec: fuzz generates its own programs and takes no "
-           "--workload/--all/--asm targets\n";
-    return ExitUsage;
-  }
-  if (Opts.Cmd == Command::Fuzz && Opts.Remote) {
-    Err << "bec: fuzz runs locally; drop --remote\n";
-    return ExitUsage;
-  }
+
+  // A flag given to a command that never reads it is a usage error.
+  // `bec client <method>` also takes the flags its mirrored subcommand
+  // sends as params.
+  const CommandSpec *Mirror =
+      Opts.Cmd == Command::Client && !Opts.ClientArgs.empty()
+          ? mirroredCommand(Opts.ClientArgs[0])
+          : nullptr;
+  for (const FlagSpec *F : Opts.Given)
+    if (!(F->Cmds & in(Opts.Cmd)) &&
+        !(Mirror && F->Param && (F->Cmds & in(Mirror->Cmd)))) {
+      Err << "bec: " << F->Name << " is only valid with "
+          << commandList(F->Cmds)
+          << (Mirror ? "; bec client does not send it\n" : "\n");
+      return ExitUsage;
+    }
+
+  // Rules that relate two flags, or a flag and a command.
   if (Opts.Resume && Opts.CheckpointPath.empty()) {
     Err << "bec: --resume requires --checkpoint FILE\n";
     return ExitUsage;
   }
-  if (!Opts.CheckpointPath.empty() && Opts.Remote) {
-    // The checkpoint would describe a campaign executing on the server;
-    // resuming it locally later would silently re-run everything.
-    Err << "bec: --checkpoint/--resume run locally; drop --remote\n";
-    return ExitUsage;
-  }
+  // A checkpoint or profile describes this process's engine; a remote
+  // campaign runs the server's (and a local resume would re-run it all).
+  for (const char *Flag : {"--checkpoint", "--profile"})
+    if (Opts.given(Flag) && Opts.given("--remote")) {
+      Err << "bec: " << Flag << " is local only; drop --remote\n";
+      return ExitUsage;
+    }
   if (Opts.Cmd == Command::Harden && !Opts.EmitPath.empty() &&
       Opts.Budgets.size() != 1) {
     Err << "bec: harden --emit requires a single --budget\n";
-    return ExitUsage;
-  }
-  if ((Opts.Cmd == Command::Serve || Opts.Cmd == Command::Gateway) &&
-      Opts.Remote) {
-    Err << "bec: --remote does not combine with serve or gateway\n";
-    return ExitUsage;
-  }
-  if (Opts.Cmd != Command::Serve && Opts.Cmd != Command::Gateway &&
-      Opts.ServeFlagsUsed) {
-    // Silently ignoring these would let `bec client shutdown --port N`
-    // address a different server than the user meant; --remote host:port
-    // is the client-side spelling.
-    Err << "bec: --host/--port/--port-file are only valid with serve or "
-           "gateway (clients use --remote host:port)\n";
-    return ExitUsage;
-  }
-  if (Opts.Cmd != Command::Serve && Opts.QueueDepth) {
-    Err << "bec: --queue-depth is only valid with serve\n";
-    return ExitUsage;
-  }
-  if (Opts.Cmd != Command::Gateway && Opts.GatewayFlagsUsed) {
-    Err << "bec: --backends/--health-interval are only valid with gateway\n";
-    return ExitUsage;
-  }
-  if (Opts.LogFlagsUsed && Opts.Cmd != Command::Serve &&
-      Opts.Cmd != Command::Gateway) {
-    Err << "bec: --log-level/--log-file/--log-format are only valid with "
-           "serve or gateway\n";
-    return ExitUsage;
-  }
-  if (!Opts.ProfilePath.empty() && Opts.Cmd != Command::Campaign) {
-    Err << "bec: --profile is only valid with campaign\n";
-    return ExitUsage;
-  }
-  if (!Opts.ProfilePath.empty() && Opts.Remote) {
-    // The profile describes this process's engine workers; a remote
-    // campaign runs them in the server.
-    Err << "bec: --profile profiles the local engine; drop --remote\n";
     return ExitUsage;
   }
   if (Opts.Cmd == Command::Gateway && Opts.GatewayBackends.empty()) {
     Err << "bec: gateway requires --backends H:P[,H:P...]\n";
     return ExitUsage;
   }
-  if (Opts.Cmd == Command::Gateway &&
-      (Opts.AllWorkloads || !Opts.WorkloadNames.empty() ||
-       !Opts.AsmFiles.empty())) {
-    // The gateway forwards; its backends own the targets.
-    Err << "bec: gateway takes no --workload/--all/--asm targets\n";
-    return ExitUsage;
-  }
-  if (Opts.StatsFlagsUsed && Opts.Cmd != Command::Stats) {
-    Err << "bec: --watch/--metrics are only valid with stats\n";
-    return ExitUsage;
-  }
-  if (Opts.Cmd == Command::Stats &&
-      (Opts.AllWorkloads || !Opts.WorkloadNames.empty() ||
-       !Opts.AsmFiles.empty())) {
-    // Stats describes a process (this one or a server), not targets.
-    Err << "bec: stats takes no --workload/--all/--asm targets\n";
-    return ExitUsage;
-  }
   if (Opts.Cmd == Command::Client && Opts.ClientArgs.empty()) {
     Err << "bec: client needs a method, e.g. `bec client analyze bitcount`\n";
-    return ExitUsage;
-  }
-  if (Opts.Cmd == Command::Client &&
-      (Opts.AllWorkloads || !Opts.WorkloadNames.empty() ||
-       !Opts.AsmFiles.empty())) {
-    // These select targets for local sessions; silently ignoring them
-    // would run the wrong scope on the server.
-    Err << "bec: client takes positional target names, not "
-           "--workload/--all/--asm\n";
     return ExitUsage;
   }
   return ExitSuccess;
@@ -919,16 +770,23 @@ int parseArgs(const std::vector<std::string> &Args, DriverOptions &Opts,
 // Target loading
 //===----------------------------------------------------------------------===//
 
-int collectTargets(const DriverOptions &Opts, AnalysisSession &S,
-                   std::ostream &Err) {
-  // --all plus an explicit --workload (or a repeated name in any casing)
-  // would otherwise run and report the same target twice; skip names the
-  // session already has.
+/// The selected targets in report order, named as the local session and
+/// a remote request both name them: deduped canonical workload names
+/// (every bundled one with --all or when nothing is selected), then the
+/// external asm file paths. \p NumWorkloads counts the former. Dedupe
+/// matters: --all plus an explicit --workload (or a repeated name in any
+/// casing) would otherwise run and report the same target twice.
+int selectTargets(const DriverOptions &Opts, std::vector<std::string> &Targets,
+                  size_t &NumWorkloads, std::ostream &Err) {
+  auto Add = [&](const std::string &Name) {
+    if (std::find(Targets.begin(), Targets.end(), Name) == Targets.end())
+      Targets.push_back(Name);
+  };
   bool Selected = Opts.AllWorkloads || !Opts.WorkloadNames.empty() ||
                   !Opts.AsmFiles.empty();
   if (Opts.AllWorkloads || !Selected)
-    S.addAllWorkloads();
-
+    for (const Workload &W : allWorkloads())
+      Add(W.Name);
   for (const std::string &Name : Opts.WorkloadNames) {
     const Workload *W = findWorkloadAnyCase(Name);
     if (!W) {
@@ -936,15 +794,25 @@ int collectTargets(const DriverOptions &Opts, AnalysisSession &S,
           << "'; --list-workloads prints the bundled names\n";
       return ExitBadInput;
     }
-    if (!S.findTarget(W->Name))
-      S.addProgram(W->Name, loadWorkload(*W));
+    Add(W->Name);
   }
+  NumWorkloads = Targets.size();
+  for (const std::string &Path : Opts.AsmFiles)
+    Add(Path);
+  return ExitSuccess;
+}
 
-  for (const std::string &Path : Opts.AsmFiles) {
-    if (S.findTarget(Path))
-      continue;
+int collectTargets(const DriverOptions &Opts, AnalysisSession &S,
+                   std::ostream &Err) {
+  std::vector<std::string> Targets;
+  size_t NumWorkloads = 0;
+  if (int Status = selectTargets(Opts, Targets, NumWorkloads, Err))
+    return Status;
+  for (size_t I = 0; I < Targets.size(); ++I) {
     std::string Error;
-    if (!S.addAsmFile(Path, Error)) {
+    if (I < NumWorkloads) {
+      S.addProgram(Targets[I], loadWorkload(*findWorkload(Targets[I])));
+    } else if (!S.addAsmFile(Targets[I], Error)) {
       Err << "bec: " << Error << "\n";
       return ExitBadInput;
     }
@@ -1152,8 +1020,7 @@ int runFuzzCommand(const DriverOptions &Opts, std::ostream &Out,
     Err << "bec: fuzz: " << R.Error << "\n";
     return ExitBadInput;
   }
-  Out << (Opts.Format == OutputFormat::Json ? renderFuzzJson(R, FO.Seed)
-                                            : renderFuzzText(R, FO.Seed));
+  Out << (Opts.Json ? renderFuzzJson(R, FO.Seed) : renderFuzzText(R, FO.Seed));
   if (Opts.Resume)
     Err << "bec: fuzz: resumed " << R.Resumed << " of " << R.Programs
         << " programs from '" << Opts.CheckpointPath << "'\n";
@@ -1164,42 +1031,12 @@ int runFuzzCommand(const DriverOptions &Opts, std::ostream &Out,
 // becd: serve, client, --remote
 //===----------------------------------------------------------------------===//
 
-const char *commandMethod(Command C) {
-  switch (C) {
-  case Command::Analyze:
-    return "analyze";
-  case Command::Campaign:
-    return "campaign";
-  case Command::Schedule:
-    return "schedule";
-  case Command::Harden:
-    return "harden";
-  case Command::Report:
-    return "report";
-  default:
-    return "";
-  }
-}
-
-std::optional<Command> subcommandForMethod(const std::string &M) {
-  if (M == "analyze")
-    return Command::Analyze;
-  if (M == "campaign" || M == "campaign/run")
-    return Command::Campaign;
-  if (M == "schedule")
-    return Command::Schedule;
-  if (M == "harden")
-    return Command::Harden;
-  if (M == "report")
-    return Command::Report;
-  return std::nullopt;
-}
-
-/// Serializes the params of one subcommand method from the parsed command
-/// line, for \p Targets (empty = the server's default, all workloads).
+/// Serializes the params of one subcommand method: \p Targets (empty =
+/// the server's default, all workloads) plus every given flag that
+/// travels as a param. A flag left out takes the server's default, which
+/// is the driver's. (`bec client` never has --emit: it sends no param.)
 std::string subcommandParams(Command Which, const DriverOptions &Opts,
-                             const std::vector<std::string> &Targets,
-                             bool WithEmit) {
+                             const std::vector<std::string> &Targets) {
   JsonWriter W;
   W.beginObject();
   if (!Targets.empty()) {
@@ -1208,52 +1045,18 @@ std::string subcommandParams(Command Which, const DriverOptions &Opts,
       W.value(T);
     W.endArray();
   }
-  W.key("format").value(Opts.Format == OutputFormat::Json ? "json" : "text");
-  if (Opts.Jobs != 1)
-    W.key("jobs").value(uint64_t(std::min(Opts.Jobs, 1u << 16)));
-  switch (Which) {
-  case Command::Campaign:
-    W.key("plan").value(Opts.Plan == PlanKind::Exhaustive    ? "exhaustive"
-                        : Opts.Plan == PlanKind::ValueLevel  ? "value"
-                                                             : "bit");
-    W.key("max_cycles").value(Opts.MaxCycles);
-    if (Opts.SampleSize) {
-      W.key("sample").value(Opts.SampleSize);
-      W.key("seed").value(Opts.SampleSeed);
+  std::vector<std::string_view> Written; // --budget and --sweep share one.
+  for (const FlagSpec *F : Opts.Given)
+    if (F->Param && std::find(Written.begin(), Written.end(), F->Param) ==
+                        Written.end()) {
+      Written.push_back(F->Param);
+      F->Write(W.key(F->Param), Opts);
     }
-    if (Opts.CampaignThreadsExplicit)
-      W.key("threads").value(uint64_t(Opts.CampaignThreads));
-    if (Opts.ShardSize)
-      W.key("shard_size").value(Opts.ShardSize);
-    if (Opts.PrefixCheckpointExplicit) {
-      W.key("prefix_checkpoint").value(Opts.PrefixCheckpoint);
-      if (Opts.CheckpointEveryK)
-        W.key("checkpoint_every_k").value(Opts.CheckpointEveryK);
-    }
-    if (Opts.Progress)
-      W.key("progress").value(true);
-    break;
-  case Command::Schedule:
-    if (WithEmit)
-      W.key("emit").value(
-          Opts.EmitPolicy == SchedulePolicy::SourceOrder        ? "source"
-          : Opts.EmitPolicy == SchedulePolicy::BestReliability  ? "best"
-                                                                : "worst");
-    break;
-  case Command::Harden:
-    W.key("budgets").beginArray();
-    for (double B : Opts.Budgets)
-      W.value(B);
-    W.endArray();
-    if (WithEmit)
-      W.key("emit").value(true);
-    break;
-  case Command::Report:
-    W.key("max_cycles").value(Opts.MaxCycles);
-    break;
-  default:
-    break;
-  }
+  if (!Opts.EmitPath.empty() && Which == Command::Schedule)
+    W.key("emit").value(
+        PolicyNames[choiceIndex(PolicyNames, Opts.EmitPolicy)].first);
+  else if (!Opts.EmitPath.empty())
+    W.key("emit").value(true);
   W.endObject();
   return W.take();
 }
@@ -1283,35 +1086,6 @@ void reportReplyError(const serve::Reply &R, const std::string &AsmPath,
     }
   }
   Err << "bec: " << R.errorText() << "\n";
-}
-
-/// The canonical target list the local path would have produced: deduped
-/// workload canonical names, then external asm file paths.
-int remoteTargetList(const DriverOptions &Opts,
-                     std::vector<std::string> &Targets, std::ostream &Err) {
-  auto Add = [&](const std::string &Name) {
-    for (const std::string &T : Targets)
-      if (T == Name)
-        return;
-    Targets.push_back(Name);
-  };
-  bool Selected = Opts.AllWorkloads || !Opts.WorkloadNames.empty() ||
-                  !Opts.AsmFiles.empty();
-  if (Opts.AllWorkloads || !Selected)
-    for (const Workload &W : allWorkloads())
-      Add(W.Name);
-  for (const std::string &Name : Opts.WorkloadNames) {
-    const Workload *W = findWorkloadAnyCase(Name);
-    if (!W) {
-      Err << "bec: unknown workload '" << Name
-          << "'; --list-workloads prints the bundled names\n";
-      return ExitBadInput;
-    }
-    Add(W->Name);
-  }
-  for (const std::string &Path : Opts.AsmFiles)
-    Add(Path);
-  return ExitSuccess;
 }
 
 /// Reads \p Path into `intern` method params ({"name","asm"}); nullopt
@@ -1350,8 +1124,7 @@ int internAsmFile(serve::Client &C, const std::string &Path,
 /// Executes one already-parsed subcommand method reply: print output and
 /// diagnostics, honor --emit, adopt the server's exit code.
 int consumeSubcommandReply(const serve::Reply &R, const DriverOptions &Opts,
-                           bool WithEmit, std::ostream &Out,
-                           std::ostream &Err) {
+                           std::ostream &Out, std::ostream &Err) {
   const std::string *Output = R.Result.memberString("output");
   std::optional<uint64_t> Exit = R.Result.memberU64("exit");
   if (!Output || !Exit || *Exit > ExitUnsound) {
@@ -1362,7 +1135,7 @@ int consumeSubcommandReply(const serve::Reply &R, const DriverOptions &Opts,
   if (const std::string *Diag = R.Result.memberString("diag"))
     Err << *Diag;
   int Status = static_cast<int>(*Exit);
-  if (Status == ExitSuccess && WithEmit) {
+  if (Status == ExitSuccess && !Opts.EmitPath.empty()) {
     const std::string *Emit = R.Result.memberString("emit");
     if (!Emit) {
       Err << "bec: server returned no emitted assembly\n";
@@ -1429,15 +1202,34 @@ uint64_t wallNowUs() {
           .count());
 }
 
-/// Best-effort fetch of the server's spans of \p TraceId (a gateway
+/// Connects to the --remote server. Under an armed distributed trace
+/// every frame of the exchange carries the trace context, parented at
+/// the root span.
+std::optional<serve::Client> connectRemote(const DriverOptions &Opts,
+                                           const DistTrace *DT,
+                                           std::ostream &Err) {
+  std::string ConnErr;
+  std::optional<serve::Client> C =
+      serve::Client::connect(Opts.RemoteHost, Opts.RemotePort, ConnErr);
+  if (!C)
+    Err << "bec: " << ConnErr << "\n";
+  else if (DT && DT->armed())
+    C->setTrace({DT->TraceId, DT->RootSpanId});
+  return C;
+}
+
+/// Best-effort fetch of the server's spans of an armed trace (a gateway
 /// merges its backends' rings into the same reply). Failures are
 /// swallowed: a server without trace/dump still served the command, it
 /// just contributes no spans to the stitched file.
-void collectRemoteSpans(serve::Client &C, const std::string &TraceId,
-                        std::vector<RemoteSpan> &Out) {
+void collectRemoteSpans(serve::Client &C, DistTrace *DT) {
+  if (!DT || !DT->armed())
+    return;
+  // The dump request itself must not land in the ring as this trace's.
+  C.setTrace({});
   JsonWriter W;
   W.beginObject();
-  W.key("trace_id").value(TraceId);
+  W.key("trace_id").value(DT->TraceId);
   W.endObject();
   serve::Reply R = C.call("trace/dump", W.take());
   if (!R.Ok)
@@ -1466,7 +1258,7 @@ void collectRemoteSpans(serve::Client &C, const std::string &TraceId,
       continue;
     if (S.Process.empty())
       S.Process = "server";
-    Out.push_back(std::move(S));
+    DT->Spans.push_back(std::move(S));
   }
 }
 
@@ -1570,52 +1362,39 @@ void spliceRemoteSpans(std::string &Doc, const DistTrace &DT) {
 int runRemote(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
               std::ostream &Err) {
   std::vector<std::string> Targets;
-  if (int Status = remoteTargetList(Opts, Targets, Err))
+  size_t NumWorkloads = 0;
+  if (int Status = selectTargets(Opts, Targets, NumWorkloads, Err))
     return Status;
-  bool WithEmit = !Opts.EmitPath.empty();
-  if (WithEmit && Targets.size() != 1) {
+  if (!Opts.EmitPath.empty() && Targets.size() != 1) {
     Err << "bec: --emit requires exactly one selected target\n";
     return ExitUsage;
   }
 
-  std::string ConnErr;
-  std::optional<serve::Client> C =
-      serve::Client::connect(Opts.RemoteHost, Opts.RemotePort, ConnErr);
-  if (!C) {
-    Err << "bec: " << ConnErr << "\n";
+  std::optional<serve::Client> C = connectRemote(Opts, DT, Err);
+  if (!C)
     return ExitBadInput;
-  }
-  // Under --trace-out every frame of this exchange (interns included)
-  // carries the distributed trace context, parented at the root span.
-  if (DT && DT->armed())
-    C->setTrace({DT->TraceId, DT->RootSpanId});
   for (const std::string &Path : Opts.AsmFiles)
     if (int Status = internAsmFile(*C, Path, Err))
       return Status;
 
-  std::string Params = subcommandParams(Opts.Cmd, Opts, Targets, WithEmit);
-  serve::Reply R;
-  if (Opts.Cmd == Command::Campaign) {
-    // Campaigns offload through the streaming method so a long remote
-    // run narrates itself; without --progress no frames are sent and
-    // the exchange is byte-for-byte the unary `campaign` method's.
-    R = C->callStreaming("campaign/run", Params,
-                         [&](const JsonValue &P) { printProgress(P, Err); });
-  } else {
-    R = C->call(commandMethod(Opts.Cmd), Params);
-  }
+  std::string Params = subcommandParams(Opts.Cmd, Opts, Targets);
+  // Campaigns offload through the streaming method so a long remote run
+  // narrates itself; without --progress no frames are sent and the
+  // exchange is byte-for-byte the unary `campaign` method's.
+  const CommandSpec &Spec = Commands[size_t(Opts.Cmd)];
+  serve::Reply R =
+      Spec.StreamMethod
+          ? C->callStreaming(Spec.StreamMethod, Params,
+                             [&](const JsonValue &P) { printProgress(P, Err); })
+          : C->call(Spec.Method, Params);
   // Collect the servers' spans whether or not the command succeeded —
-  // a failed hop's spans are exactly what the trace is for. The dump
-  // request itself must not land in the ring as part of this trace.
-  if (DT && DT->armed()) {
-    C->setTrace({});
-    collectRemoteSpans(*C, DT->TraceId, DT->Spans);
-  }
+  // a failed hop's spans are exactly what the trace is for.
+  collectRemoteSpans(*C, DT);
   if (!R.Ok) {
     Err << "bec: " << R.errorText() << "\n";
     return ExitBadInput;
   }
-  return consumeSubcommandReply(R, Opts, WithEmit, Out, Err);
+  return consumeSubcommandReply(R, Opts, Out, Err);
 }
 
 /// Publishes the bound port for scripts using --port 0. Write-then-rename
@@ -1666,7 +1445,7 @@ int runServe(const DriverOptions &Opts, std::ostream &Out,
   EO.Port = Opts.ServePort;
   // --jobs sizes the worker pool executing requests (0 = one per core);
   // connections are not bounded by it.
-  EO.Workers = Opts.JobsExplicit ? Opts.Jobs : 0;
+  EO.Workers = Opts.given("--jobs") ? Opts.Jobs : 0;
   if (Opts.QueueDepth)
     EO.QueueDepth = *Opts.QueueDepth;
   net::EventServer Srv(
@@ -1700,7 +1479,7 @@ int runGateway(const DriverOptions &Opts, std::ostream &Out,
     return Status;
   net::Gateway::Options GO;
   GO.Backends = Opts.GatewayBackends;
-  GO.HealthIntervalMs = Opts.HealthIntervalMs;
+  GO.HealthIntervalMs = Opts.HealthIntervalSec * 1000;
   net::Gateway GW(GO);
   std::string GwErr;
   if (!GW.start(GwErr)) {
@@ -1713,7 +1492,7 @@ int runGateway(const DriverOptions &Opts, std::ostream &Out,
   EO.Port = Opts.ServePort;
   // Gateway workers block on upstream becds (I/O-bound), so default a
   // small fixed pool rather than one per core.
-  EO.Workers = Opts.JobsExplicit ? Opts.Jobs : 8;
+  EO.Workers = Opts.given("--jobs") ? Opts.Jobs : 8;
   net::EventServer Srv(
       [&GW](std::string_view Line, const net::FrameSink &Sink) {
         return GW.handleFrame(Line, Sink);
@@ -1903,19 +1682,15 @@ std::string renderStatsDelta(const StatsSample &Prev, const StatsSample &Cur,
 /// One `bec stats` poll (one iteration of --watch).
 int statsOnce(const DriverOptions &Opts, StatsSample &Prev, std::ostream &Out,
               std::ostream &Err) {
-  if (!Opts.Remote) {
+  if (!Opts.given("--remote")) {
     obs::MetricsSnapshot Snap = obs::snapshotMetrics();
     Out << (Opts.StatsMetrics ? obs::renderPrometheus(Snap)
                               : renderLocalStatsText(Snap));
     return ExitSuccess;
   }
-  std::string ConnErr;
-  std::optional<serve::Client> C =
-      serve::Client::connect(Opts.RemoteHost, Opts.RemotePort, ConnErr);
-  if (!C) {
-    Err << "bec: " << ConnErr << "\n";
+  std::optional<serve::Client> C = connectRemote(Opts, nullptr, Err);
+  if (!C)
     return ExitBadInput;
-  }
   serve::Reply R = C->call(Opts.StatsMetrics ? "metrics" : "stats");
   if (!R.Ok) {
     Err << "bec: " << R.errorText() << "\n";
@@ -1964,10 +1739,10 @@ int runClient(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
 
   // Build params before connecting so usage errors stay local.
   std::string Params;
-  std::optional<Command> Sub = subcommandForMethod(Method);
+  const CommandSpec *Sub = mirroredCommand(Method);
   std::string AsmPath;
   if (Sub) {
-    Params = subcommandParams(*Sub, Opts, Positional, /*WithEmit=*/false);
+    Params = subcommandParams(Sub->Cmd, Opts, Positional);
   } else if (Method == "version" || Method == "stats" ||
              Method == "metrics" || Method == "shutdown" ||
              Method == "gateway/backends") {
@@ -2037,59 +1812,24 @@ int runClient(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
     return ExitUsage;
   }
 
-  std::string ConnErr;
-  std::optional<serve::Client> C =
-      serve::Client::connect(Opts.RemoteHost, Opts.RemotePort, ConnErr);
-  if (!C) {
-    Err << "bec: " << ConnErr << "\n";
+  std::optional<serve::Client> C = connectRemote(Opts, DT, Err);
+  if (!C)
     return ExitBadInput;
-  }
-  if (DT && DT->armed())
-    C->setTrace({DT->TraceId, DT->RootSpanId});
   serve::Reply R =
       Method == "campaign/run"
           ? C->callStreaming(Method, Params,
                              [&](const JsonValue &P) { printProgress(P, Err); })
           : C->call(Method, Params);
-  if (DT && DT->armed() && Method != "shutdown") {
-    C->setTrace({});
-    collectRemoteSpans(*C, DT->TraceId, DT->Spans);
-  }
+  if (Method != "shutdown")
+    collectRemoteSpans(*C, DT);
   if (!R.Ok) {
     reportReplyError(R, AsmPath, Err);
     return ExitBadInput;
   }
   if (Sub)
-    return consumeSubcommandReply(R, Opts, /*WithEmit=*/false, Out, Err);
+    return consumeSubcommandReply(R, Opts, Out, Err);
   Out << R.Result.toJson() << "\n";
   return ExitSuccess;
-}
-
-/// The subcommand's name, for the root trace span ("bec:analyze").
-const char *commandName(Command C) {
-  switch (C) {
-  case Command::Analyze:
-    return "analyze";
-  case Command::Campaign:
-    return "campaign";
-  case Command::Schedule:
-    return "schedule";
-  case Command::Harden:
-    return "harden";
-  case Command::Report:
-    return "report";
-  case Command::Fuzz:
-    return "fuzz";
-  case Command::Serve:
-    return "serve";
-  case Command::Gateway:
-    return "gateway";
-  case Command::Client:
-    return "client";
-  case Command::Stats:
-    return "stats";
-  }
-  return "bec";
 }
 
 /// Everything after argument parsing: subcommand dispatch. Split out so
@@ -2108,37 +1848,28 @@ int runParsed(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
   // form is not a mirrored server method call over targets).
   if (Opts.Cmd == Command::Stats)
     return runStats(Opts, Out, Err);
-  if (Opts.Remote)
+  if (Opts.given("--remote"))
     return runRemote(Opts, DT, Out, Err);
 
   AnalysisSession S;
   if (int Status = collectTargets(Opts, S, Err))
     return Status;
-  if (!Opts.EmitPath.empty() && S.numTargets() != 1) {
-    Err << "bec: --emit requires exactly one selected target\n";
-    return ExitUsage;
-  }
-  if (!Opts.CheckpointPath.empty() && S.numTargets() != 1) {
-    // One checkpoint file describes one campaign.
-    Err << "bec: --checkpoint requires exactly one selected target\n";
-    return ExitUsage;
-  }
-  if (!Opts.ProfilePath.empty() && S.numTargets() != 1) {
-    // Likewise: one profile document describes one engine run.
-    Err << "bec: --profile requires exactly one selected target\n";
-    return ExitUsage;
-  }
+  // One emitted program, checkpoint file or profile describes one target.
+  for (const char *Flag : {"--emit", "--checkpoint", "--profile"})
+    if (Opts.given(Flag) && S.numTargets() != 1) {
+      Err << "bec: " << Flag << " requires exactly one selected target\n";
+      return ExitUsage;
+    }
 
   std::vector<std::string> Names = targetNames(S);
-  bool Json = Opts.Format == OutputFormat::Json;
   ThreadPool Pool(ThreadPool::clampJobs(Opts.Jobs));
   int Status = ExitSuccess;
 
   switch (Opts.Cmd) {
   case Command::Analyze: {
     auto Results = S.evaluateAll<AnalyzeQuery>({}, Pool);
-    Out << (Json ? renderAnalyzeJson(Names, Results)
-                 : renderAnalyzeText(Names, Results));
+    Out << (Opts.Json ? renderAnalyzeJson(Names, Results)
+                      : renderAnalyzeText(Names, Results));
     Status = reportErrors(S, Results, Err);
     break;
   }
@@ -2180,8 +1911,8 @@ int runParsed(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
                                     O);
       });
     Pool.wait();
-    Out << (Json ? renderCampaignJson(Names, Results, Opts.Plan)
-                 : renderCampaignText(Names, Results, Opts.Plan));
+    Out << (Opts.Json ? renderCampaignJson(Names, Results, Opts.Plan)
+                      : renderCampaignText(Names, Results, Opts.Plan));
     Status = reportErrors(S, Results, Err);
     if (Status == ExitSuccess && Opts.Resume)
       Err << "bec: campaign: resumed " << Results[0]->Campaign.ResumedShards
@@ -2201,15 +1932,13 @@ int runParsed(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
   }
   case Command::Schedule: {
     auto Results = S.evaluateAll<ScheduleCmdQuery>({}, Pool);
-    Out << (Json ? renderScheduleJson(Names, Results)
-                 : renderScheduleText(Names, Results));
+    Out << (Opts.Json ? renderScheduleJson(Names, Results)
+                      : renderScheduleText(Names, Results));
     Status = reportErrors(S, Results, Err);
     if (Status == ExitSuccess && !Opts.EmitPath.empty()) {
-      size_t Policy = Opts.EmitPolicy == SchedulePolicy::SourceOrder ? 0
-                      : Opts.EmitPolicy == SchedulePolicy::BestReliability
-                          ? 1
-                          : 2;
-      Status = emitAssembly(Results[0]->PolicyAsm[Policy], Opts, Err);
+      Status = emitAssembly(
+          Results[0]->PolicyAsm[choiceIndex(PolicyNames, Opts.EmitPolicy)],
+          Opts, Err);
     }
     break;
   }
@@ -2217,8 +1946,8 @@ int runParsed(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
     HardenCmdQuery::Options HO;
     HO.Budgets = Opts.Budgets;
     auto Results = S.evaluateAll<HardenCmdQuery>(HO, Pool);
-    Out << (Json ? renderHardenJson(Names, Results, Opts.Budgets)
-                 : renderHardenText(Names, Results, Opts.Budgets));
+    Out << (Opts.Json ? renderHardenJson(Names, Results, Opts.Budgets)
+                      : renderHardenText(Names, Results, Opts.Budgets));
     Status = reportErrors(S, Results, Err);
     if (Status == ExitSuccess)
       for (size_t I = 0; I < Results.size(); ++I)
@@ -2235,8 +1964,8 @@ int runParsed(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
   }
   case Command::Report: {
     auto Results = S.evaluateAll<ReportCmdQuery>({Opts.MaxCycles}, Pool);
-    Out << (Json ? renderReportJson(Names, Results)
-                 : renderReportText(Names, Results));
+    Out << (Opts.Json ? renderReportJson(Names, Results)
+                      : renderReportText(Names, Results));
     Status = reportErrors(S, Results, Err);
     if (Status == ExitSuccess)
       for (const auto &R : Results)
@@ -2244,11 +1973,7 @@ int runParsed(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
           Status = ExitUnsound;
     break;
   }
-  case Command::Fuzz:
-  case Command::Serve:
-  case Command::Gateway:
-  case Command::Client:
-  case Command::Stats:
+  default:
     break; // Dispatched before target loading.
   }
   return Status;
@@ -2274,7 +1999,7 @@ int bec::tool::runDriver(const std::vector<std::string> &Args,
   // request envelope, and the servers' spans come back via trace/dump.
   DistTrace DT;
   if (!Opts.TraceOutPath.empty() &&
-      (Opts.Remote || Opts.Cmd == Command::Client)) {
+      (Opts.given("--remote") || Opts.Cmd == Command::Client)) {
     DT.TraceId = obs::newTraceId128();
     DT.RootSpanId = obs::newSpanId64();
   }
@@ -2287,7 +2012,7 @@ int bec::tool::runDriver(const std::vector<std::string> &Args,
   int Status;
   {
     obs::Span Root(obs::traceActive()
-                       ? std::string("bec:") + commandName(Opts.Cmd)
+                       ? std::string("bec:") + Commands[size_t(Opts.Cmd)].Name
                        : std::string());
     if (DT.armed() && obs::traceActive()) {
       Root.argStr("trace_id", DT.TraceId);
