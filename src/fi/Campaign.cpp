@@ -30,6 +30,12 @@ const char *bec::faultEffectName(FaultEffect E) {
   bec_unreachable("invalid fault effect");
 }
 
+PlannedRun bec::exhaustiveRun(uint64_t Index, unsigned Width) {
+  uint64_t PerCycle = uint64_t(NumRegs) * Width;
+  return {Index / PerCycle, static_cast<Reg>(Index / Width % NumRegs),
+          static_cast<uint8_t>(Index % Width), 0, -1};
+}
+
 std::vector<PlannedRun> bec::planCampaign(const BECAnalysis &A,
                                           const Trace &Golden, PlanKind Kind,
                                           uint64_t MaxCycles) {
@@ -41,11 +47,10 @@ std::vector<PlannedRun> bec::planCampaign(const BECAnalysis &A,
   std::vector<PlannedRun> Plan;
 
   if (Kind == PlanKind::Exhaustive) {
-    // Every bit of the register file before every executed instruction.
-    for (uint64_t C = 0; C < Limit; ++C)
-      for (Reg R = 0; R < NumRegs; ++R)
-        for (unsigned B = 0; B < W; ++B)
-          Plan.push_back({C, R, static_cast<uint8_t>(B), 0, -1});
+    uint64_t N = exhaustivePopulation(Limit, W);
+    Plan.reserve(N);
+    for (uint64_t I = 0; I < N; ++I)
+      Plan.push_back(exhaustiveRun(I, W));
     return Plan;
   }
 

@@ -59,6 +59,18 @@ struct PlannedRun {
 
 enum class PlanKind { Exhaustive, ValueLevel, BitLevel };
 
+/// Size of the exhaustive plan over the first \p Cycles golden cycles of
+/// a \p Width-bit program: every bit of every register before every
+/// executed instruction.
+inline uint64_t exhaustivePopulation(uint64_t Cycles, unsigned Width) {
+  return Cycles * NumRegs * Width;
+}
+
+/// Run \p Index of the exhaustive plan, which is ordered by cycle, then
+/// register, then bit; lets a sample be drawn without materializing the
+/// population.
+PlannedRun exhaustiveRun(uint64_t Index, unsigned Width);
+
 /// Builds the run list of \p Kind for \p Golden (the fault-free trace of
 /// the analyzed program). \p MaxCycles limits plans to a window of the
 /// trace (0 = no limit). CampaignPlan::build is the richer front end
@@ -183,6 +195,13 @@ struct CampaignResult {
   /// asserts. Schedule-dependent across thread counts (rebuild replay
   /// varies with stealing), deterministic at one thread.
   uint64_t SimulatedCycles = 0;
+  /// Suffix-memo telemetry: reconvergence keys computed (at most
+  /// SpliceProbeWindow per run; every spliced run is one hit among
+  /// them), and the largest number of entries the per-worker memos held,
+  /// summed over workers. Both deterministic at one thread; like Steals,
+  /// never rendered into reports.
+  uint64_t MemoProbes = 0;
+  uint64_t MemoPeakEntries = 0;
   /// True when execution stopped before every shard completed (the
   /// StopAfterShards interruption hook); aggregate fields then cover the
   /// completed shards only and per-run slots of unfinished shards are

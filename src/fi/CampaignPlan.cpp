@@ -7,23 +7,32 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 
 using namespace bec;
 
 namespace {
 
-/// Draws \p Want distinct indices from [Lo, Hi) by partial Fisher-Yates
-/// over a scratch index vector, appending them to \p Out.
+/// Draws \p Want distinct indices from [Lo, Hi) by partial Fisher-Yates,
+/// appending them to \p Out. The virtual array of indices is kept
+/// sparse: only slots a swap displaced are stored, so the cost is
+/// O(Want) however large the range (the same draws as swapping a dense
+/// index vector).
 void sampleRange(uint64_t Lo, uint64_t Hi, uint64_t Want, Xoshiro256 &Rng,
                  std::vector<uint64_t> &Out) {
   uint64_t N = Hi - Lo;
-  std::vector<uint64_t> Scratch(N);
-  for (uint64_t I = 0; I < N; ++I)
-    Scratch[I] = Lo + I;
+  std::unordered_map<uint64_t, uint64_t> Displaced; // Slot -> its index.
+  auto At = [&](uint64_t Slot) {
+    auto It = Displaced.find(Slot);
+    return It == Displaced.end() ? Lo + Slot : It->second;
+  };
   for (uint64_t I = 0; I < Want && I < N; ++I) {
     uint64_t J = I + Rng.below(N - I);
-    std::swap(Scratch[I], Scratch[J]);
-    Out.push_back(Scratch[I]);
+    uint64_t Picked = At(J);
+    // Slot I is never drawn again; slot J takes its index.
+    Displaced[J] = At(I);
+    Displaced.erase(I);
+    Out.push_back(Picked);
   }
 }
 
@@ -145,16 +154,28 @@ CampaignPlan CampaignPlan::build(const BECAnalysis &A, const Trace &Golden,
                                  const PlanOptions &O) {
   CampaignPlan P;
   P.Opts = O;
-  P.Runs = planCampaign(A, Golden, O.Kind, O.MaxCycles);
-  P.Population = P.Runs.size();
-  if (O.SampleSize != 0 && O.SampleSize < P.Runs.size()) {
-    std::vector<uint64_t> Keep =
-        stratifiedIndices(P.Runs.size(), O.SampleSize, O.SampleSeed);
-    std::vector<PlannedRun> Sampled;
-    Sampled.reserve(Keep.size());
-    for (uint64_t I : Keep)
-      Sampled.push_back(P.Runs[I]);
-    P.Runs = std::move(Sampled);
+  unsigned W = A.program().Width;
+  uint64_t Limit = O.MaxCycles ? std::min(O.MaxCycles, Golden.Cycles)
+                               : Golden.Cycles;
+  if (O.Kind == PlanKind::Exhaustive && O.SampleSize != 0 &&
+      O.SampleSize < exhaustivePopulation(Limit, W)) {
+    // The exhaustive population is a dense (cycle, reg, bit) grid, so a
+    // sample decodes its indices directly instead of enumerating the
+    // grid (millions of runs on the longer workloads) to keep a few.
+    P.Population = exhaustivePopulation(Limit, W);
+    for (uint64_t I :
+         stratifiedIndices(P.Population, O.SampleSize, O.SampleSeed))
+      P.Runs.push_back(exhaustiveRun(I, W));
+  } else {
+    P.Runs = planCampaign(A, Golden, O.Kind, O.MaxCycles);
+    P.Population = P.Runs.size();
+    if (O.SampleSize != 0 && O.SampleSize < P.Runs.size()) {
+      std::vector<PlannedRun> Sampled;
+      for (uint64_t I :
+           stratifiedIndices(P.Runs.size(), O.SampleSize, O.SampleSeed))
+        Sampled.push_back(P.Runs[I]);
+      P.Runs = std::move(Sampled);
+    }
   }
   if (O.PrefixCheckpoint && Golden.Cycles != 0 && !P.Runs.empty()) {
     P.CheckpointPeriod = O.CheckpointEveryK

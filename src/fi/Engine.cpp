@@ -10,6 +10,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -93,6 +94,56 @@ uint64_t suffixStateKey(uint64_t Cycle, uint32_t PC, uint64_t FullHash,
   return H.value();
 }
 
+/// One worker's suffix memo: continuation identity (suffixStateKey) ->
+/// how that continuation ends, for the SpliceProbeWindow checkpoints the
+/// worker's current run can probe. Slice Ck % SpliceProbeWindow holds the
+/// keys taken at checkpoint Ck. A worker's runs come in nondecreasing
+/// injection-cycle order, so once its current run starts past Ck no
+/// later run can probe Ck and the slice is freed: entries are bounded by
+/// the window times the runs whose windows overlap, not by the campaign.
+/// Every value is a pure function of its key, so which runs share a memo
+/// changes how often a run splices, never a result byte.
+class SlidingMemo {
+public:
+  /// Makes [First, First + SpliceProbeWindow) the live checkpoints. A
+  /// stolen out-of-order shard (First below the live range) or a jump
+  /// past the whole range starts afresh.
+  void slideTo(size_t First) {
+    if (First < Base || First - Base >= SpliceProbeWindow) {
+      for (Slice &S : Slices)
+        S.clear();
+      Entries = 0;
+    } else {
+      for (size_t Ck = Base; Ck < First; ++Ck) {
+        Entries -= slice(Ck).size();
+        slice(Ck).clear();
+      }
+    }
+    Base = First;
+  }
+
+  const SettledSuffix *find(size_t Ck, uint64_t Key) {
+    auto It = slice(Ck).find(Key);
+    return It == slice(Ck).end() ? nullptr : &It->second;
+  }
+
+  void insert(size_t Ck, uint64_t Key, const SettledSuffix &S) {
+    if (slice(Ck).emplace(Key, S).second)
+      PeakEntries = std::max(PeakEntries, ++Entries);
+  }
+
+  uint64_t peakEntries() const { return PeakEntries; }
+
+private:
+  using Slice = std::unordered_map<uint64_t, SettledSuffix>;
+  Slice &slice(size_t Ck) { return Slices[Ck % SpliceProbeWindow]; }
+
+  std::array<Slice, SpliceProbeWindow> Slices;
+  size_t Base = 0;
+  uint64_t Entries = 0;
+  uint64_t PeakEntries = 0;
+};
+
 /// Work-stealing shard scheduler: one deque per worker, seeded with a
 /// contiguous block of shard ids (contiguous = nondecreasing injection
 /// cycles, so the owner's interpreter snapshot advances monotonically).
@@ -166,39 +217,17 @@ struct EngineState {
   uint64_t StopAfterShards = 0;
 
   /// Prefix-checkpoint table: golden MachineState snapshots in ascending
-  /// cycle order (built once before the workers start), the golden
-  /// replay they came from, and the plan's live-in masks for the
-  /// convergence test. Empty/false when the plan runs without prefix
-  /// checkpoints.
-  bool PrefixCk = false;
+  /// cycle order (built once before the workers start, read-only after)
+  /// and the plan's live-in masks for the convergence test. Empty when
+  /// the plan runs without prefix checkpoints.
   std::vector<MachineState> Ckpts;
   const std::vector<uint32_t> *LiveIn = nullptr;
-  Trace GoldenFinal;
   uint64_t CkBytes = 0;
-
-  /// Suffix memo: continuation identity (suffixStateKey) -> how that
-  /// continuation ends. Seeded with the golden checkpoints (so masked
-  /// faults splice into the golden verdict) and grown by workers as
-  /// runs complete; every value is a pure function of its key, so
-  /// sharing across threads cannot change a result byte.
-  std::mutex MemoMutex;
-  std::unordered_map<uint64_t, SettledSuffix> SuffixMemo;
-
-  std::optional<SettledSuffix> memoLookup(uint64_t Key) {
-    std::lock_guard<std::mutex> Lock(MemoMutex);
-    auto It = SuffixMemo.find(Key);
-    if (It == SuffixMemo.end())
-      return std::nullopt;
-    return It->second;
-  }
-  void memoInsert(const std::vector<uint64_t> &Keys,
-                  const SettledSuffix &S) {
-    if (Keys.empty())
-      return;
-    std::lock_guard<std::mutex> Lock(MemoMutex);
-    for (uint64_t K : Keys)
-      SuffixMemo.emplace(K, S);
-  }
+  /// The golden continuation's key at every checkpoint (parallel to
+  /// Ckpts) and how it ends: a masked fault whose live state reconverges
+  /// with the golden run keys equal to it and splices immediately.
+  std::vector<uint64_t> GoldenKeys;
+  SettledSuffix GoldenEnd;
 
   /// Index of the first checkpoint with cycle >= \p Cycle (a checkpoint
   /// exactly at the injection cycle is a valid convergence point: the
@@ -232,6 +261,8 @@ struct EngineState {
   std::atomic<uint64_t> CkRestores{0};
   std::atomic<uint64_t> SplicedRuns{0};
   std::atomic<uint64_t> SimCycles{0};
+  std::atomic<uint64_t> MemoProbes{0};
+  std::atomic<uint64_t> MemoPeakEntries{0};
 
   std::mutex ProgressMutex;
   CampaignProgress Progress;
@@ -269,6 +300,8 @@ struct WorkerStats {
   uint64_t Restores = 0;  ///< Walker restores from a golden checkpoint.
   uint64_t Spliced = 0;   ///< Runs settled by convergence splicing.
   uint64_t SimCycles = 0; ///< Interpreter instructions stepped.
+  uint64_t MemoProbes = 0; ///< Reconvergence keys computed.
+  uint64_t MemoPeak = 0;  ///< Most entries the worker's memo held.
   uint64_t SchedUs = 0;   ///< In Sched.next: lock wait + victim scan.
   uint64_t RunUs = 0;     ///< Shard execution minus rebuilds.
   uint64_t RebuildUs = 0; ///< Snapshot rebuilds incl. prefix catch-up.
@@ -285,8 +318,8 @@ uint64_t elapsedUs(std::chrono::steady_clock::time_point Since) {
 /// Executes one shard: advances this worker's walker to each injection
 /// cycle, forks, flips, runs to completion and classifies.
 void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
-                  std::optional<Interpreter> &Walker, bool Stolen,
-                  WorkerStats &WS) {
+                  std::optional<Interpreter> &Walker, SlidingMemo &Memo,
+                  bool Stolen, WorkerStats &WS) {
   static const obs::Histogram ShardUs("engine.shard.us");
   static const obs::Counter CtrRestored("fi.checkpoints.restored");
   static const obs::Histogram RestoreUsHist("fi.checkpoint.restore.us");
@@ -332,24 +365,27 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
     WS.RebuildUs += RebuildUs;
   }
   uint64_t WalkerFrom = Walker->cycle();
-  std::vector<uint64_t> Visited; // Keys passed on the way to completion.
+  std::vector<uint64_t> Probed; // Missed keys, from the first checkpoint.
   for (uint64_t K = Lo; K < Hi; ++K) {
     uint32_t Idx = St.Order[K];
     const PlannedRun &Run = (*St.Runs)[Idx];
     Walker->runToCycle(Run.AfterCycle);
     Interpreter Forked = *Walker;
     Forked.machine().flipRegBit(Run.R, Run.Bit);
-    // Convergence splicing: pause the faulty run at each checkpoint
-    // cycle and key its continuation (suffixStateKey). A memo hit —
-    // the golden continuation for reconverged masked faults, or an
-    // earlier run of the same dynamic fault class otherwise — settles
-    // the run without executing its suffix. A run that completes for
-    // real settles every key it passed, so each distinct continuation
-    // executes once per campaign.
-    std::optional<SettledSuffix> Hit;
-    Visited.clear();
-    for (size_t Ck = St.firstCheckpointAtOrAfter(Run.AfterCycle);
-         Ck < St.Ckpts.size(); ++Ck) {
+    // Convergence splicing: pause the faulty run at each of the first
+    // SpliceProbeWindow checkpoints from its injection cycle and key its
+    // continuation (suffixStateKey). A hit — the golden continuation for
+    // reconverged masked faults, or an earlier run of this worker with
+    // the same continuation otherwise — settles the run without
+    // executing its suffix. Faults that reconverge almost always do so
+    // within a few checkpoints; the rest run to completion unprobed and
+    // settle the keys they probed for later runs.
+    const SettledSuffix *Hit = nullptr;
+    size_t FirstCk = St.firstCheckpointAtOrAfter(Run.AfterCycle);
+    size_t EndCk = std::min(St.Ckpts.size(), FirstCk + SpliceProbeWindow);
+    Memo.slideTo(FirstCk);
+    Probed.clear();
+    for (size_t Ck = FirstCk; Ck < EndCk; ++Ck) {
       Forked.runToCycle(St.Ckpts[Ck].CycleCount);
       if (Forked.done())
         break;
@@ -357,10 +393,11 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
                                     Forked.fullHashState(),
                                     Forked.obsHashState(),
                                     Forked.machine(), St.LiveIn);
-      Hit = St.memoLookup(Key);
+      ++WS.MemoProbes;
+      Hit = Key == St.GoldenKeys[Ck] ? &St.GoldenEnd : Memo.find(Ck, Key);
       if (Hit)
         break;
-      Visited.push_back(Key);
+      Probed.push_back(Key);
     }
     if (Hit) {
       // The memoized continuation reproduces this run's trace byte for
@@ -376,8 +413,10 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
       St.Effects[Idx] = classifyRun(T, *St.Golden);
       St.Hashes[Idx] = T.TraceHash;
       St.Bytes[Idx] = T.approxByteSize();
-      St.memoInsert(Visited, {T.TraceHash, T.ObservableHash, T.End,
-                              T.approxByteSize()});
+      SettledSuffix Settled{T.TraceHash, T.ObservableHash, T.End,
+                            St.Bytes[Idx]};
+      for (size_t I = 0; I < Probed.size(); ++I)
+        Memo.insert(FirstCk + I, Probed[I], Settled);
     }
     ShardSimCycles += Forked.cycle() - Run.AfterCycle;
   }
@@ -447,6 +486,9 @@ void workerLoop(EngineState &St, StealScheduler &Sched, unsigned Me) {
   static const obs::Counter CtrSteals("engine.steals");
   static const obs::Counter CtrRebuilds("engine.snapshot_rebuilds");
   static const obs::Counter CtrIdleUs("engine.idle.us");
+  static const obs::Counter CtrMemoProbes("fi.memo.probes");
+  static const obs::Counter CtrMemoHits("fi.memo.hits");
+  static const obs::Counter CtrMemoEntries("fi.memo.entries");
 
   if (obs::traceActive())
     obs::setTraceThreadName("fi-worker-" + std::to_string(Me));
@@ -457,6 +499,7 @@ void workerLoop(EngineState &St, StealScheduler &Sched, unsigned Me) {
   WorkerStats WS;
   auto WallStart = std::chrono::steady_clock::now();
   std::optional<Interpreter> Walker;
+  SlidingMemo Memo;
   while (!St.Stop.load()) {
     // Time spent waiting on the scheduler lock or finding a victim is
     // the other half of the scaling story next to rebuilds.
@@ -470,16 +513,22 @@ void workerLoop(EngineState &St, StealScheduler &Sched, unsigned Me) {
       ++WS.Steals;
       St.Steals.fetch_add(1, std::memory_order_relaxed);
     }
-    executeShard(St, *Shard, Me, Walker, Stolen, WS);
+    executeShard(St, *Shard, Me, Walker, Memo, Stolen, WS);
   }
+  WS.MemoPeak = Memo.peakEntries();
 
   CtrRuns.add(WS.Runs);
   CtrShards.add(WS.Shards);
   CtrSteals.add(WS.Steals);
   CtrRebuilds.add(WS.Rebuilds);
   CtrIdleUs.add(WS.SchedUs);
+  CtrMemoProbes.add(WS.MemoProbes);
+  CtrMemoHits.add(WS.Spliced);
+  CtrMemoEntries.add(WS.MemoPeak);
   St.SplicedRuns.fetch_add(WS.Spliced, std::memory_order_relaxed);
   St.SimCycles.fetch_add(WS.SimCycles, std::memory_order_relaxed);
+  St.MemoProbes.fetch_add(WS.MemoProbes, std::memory_order_relaxed);
+  St.MemoPeakEntries.fetch_add(WS.MemoPeak, std::memory_order_relaxed);
   SpanWorker.arg("runs", WS.Runs);
   SpanWorker.arg("shards", WS.Shards);
   SpanWorker.arg("steals", WS.Steals);
@@ -568,29 +617,22 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
     }
     GoldenWalk.run();
     St.SimCycles.fetch_add(GoldenWalk.cycle(), std::memory_order_relaxed);
-    St.GoldenFinal = GoldenWalk.takeTrace();
-    if (St.GoldenFinal.TraceHash != Golden.TraceHash) {
+    Trace GoldenFinal = GoldenWalk.takeTrace();
+    if (GoldenFinal.TraceHash != Golden.TraceHash) {
       // The caller's golden trace disagrees with a fresh replay (a
       // hand-built trace, or a MaxCycles mismatch). Splicing against it
       // would be unsound, so fall back to full suffix execution.
       St.Ckpts.clear();
       St.CkBytes = 0;
     } else {
-      St.PrefixCk = true;
       St.LiveIn = &Plan->liveInMasks();
-      // The golden continuation is the first memo entry at every
-      // checkpoint: a masked fault whose live state reconverges with
-      // the golden run keys equal to it and splices immediately.
-      SettledSuffix GoldenEnd{St.GoldenFinal.TraceHash,
-                              St.GoldenFinal.ObservableHash,
-                              St.GoldenFinal.End,
-                              St.GoldenFinal.approxByteSize()};
+      St.GoldenEnd = {GoldenFinal.TraceHash, GoldenFinal.ObservableHash,
+                      GoldenFinal.End, GoldenFinal.approxByteSize()};
       for (const MachineState &CS : St.Ckpts)
-        St.SuffixMemo.emplace(suffixStateKey(CS.CycleCount, CS.PC,
-                                             CS.FullHashState,
-                                             CS.ObsHashState, CS.M,
-                                             St.LiveIn),
-                              GoldenEnd);
+        St.GoldenKeys.push_back(suffixStateKey(CS.CycleCount, CS.PC,
+                                               CS.FullHashState,
+                                               CS.ObsHashState, CS.M,
+                                               St.LiveIn));
       CtrCreated.add(St.Ckpts.size());
       CtrCkBytes.add(St.CkBytes);
     }
@@ -691,6 +733,9 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
   Result.CheckpointRestores = St.CkRestores.load(std::memory_order_relaxed);
   Result.SplicedRuns = St.SplicedRuns.load(std::memory_order_relaxed);
   Result.SimulatedCycles = St.SimCycles.load(std::memory_order_relaxed);
+  Result.MemoProbes = St.MemoProbes.load(std::memory_order_relaxed);
+  Result.MemoPeakEntries =
+      St.MemoPeakEntries.load(std::memory_order_relaxed);
 
   if (Exec.CollectProfile) {
     // Deterministic row order (workers finish in any order).

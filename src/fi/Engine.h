@@ -48,6 +48,15 @@ struct CampaignProgress {
   double ElapsedSeconds = 0; ///< Monotonic, since this invocation began.
 };
 
+/// Checkpoints a prefix-checkpointed run probes for reconvergence,
+/// counted from the first one at or after its injection cycle. Faults
+/// that reconverge almost always do so within the first three; a run
+/// that misses all of them executes its suffix without further probes.
+/// Each worker's suffix memo keeps only the keys of this window (see
+/// docs/campaigns.md), which bounds its entries by the window times the
+/// runs injected in it.
+inline constexpr unsigned SpliceProbeWindow = 8;
+
 /// Execution-side knobs. None of them changes the computed result value
 /// (which is a pure function of program + plan); they change how fast it
 /// is computed and whether it survives interruption.

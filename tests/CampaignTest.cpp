@@ -8,12 +8,14 @@
 #include "fi/Validation.h"
 #include "ir/AsmParser.h"
 #include "sim/Interpreter.h"
+#include "support/Xoshiro.h"
 #include "workloads/Workloads.h"
 
 #include "TempPath.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -428,6 +430,109 @@ TEST(CampaignPlan, StratifiedSampleIsDeterministicSortedAndSized) {
   PO.SampleSeed = 8;
   CampaignPlan S3 = CampaignPlan::build(A, Golden, PO);
   EXPECT_NE(S1.fingerprint(), S3.fingerprint());
+}
+
+/// The stratified sample as first specified: enumerate the whole plan,
+/// cut it into equal strata, and draw each stratum's share by partial
+/// Fisher-Yates over a dense index vector. CampaignPlan::build must pick
+/// exactly these runs however it gets there.
+std::vector<PlannedRun> referenceSample(const std::vector<PlannedRun> &All,
+                                        uint64_t Want, uint64_t Seed) {
+  uint64_t N = All.size();
+  if (Want >= N)
+    return All;
+  uint64_t Strata = std::min<uint64_t>({16, Want, N});
+  std::vector<uint64_t> Quota(Strata);
+  std::vector<std::pair<double, uint64_t>> Remainders; // (-rem, stratum)
+  uint64_t Assigned = 0;
+  for (uint64_t K = 0; K < Strata; ++K) {
+    uint64_t Size = (K + 1) * N / Strata - K * N / Strata;
+    double Exact = double(Want) * double(Size) / double(N);
+    Quota[K] = std::min<uint64_t>(uint64_t(Exact), Size);
+    Assigned += Quota[K];
+    Remainders.push_back({-(Exact - double(Quota[K])), K});
+  }
+  std::sort(Remainders.begin(), Remainders.end());
+  for (auto [NegRem, K] : Remainders)
+    if (Assigned < Want && Quota[K] < (K + 1) * N / Strata - K * N / Strata) {
+      ++Quota[K];
+      ++Assigned;
+    }
+  for (uint64_t K = 0; K < Strata; ++K)
+    while (Assigned < Want && Quota[K] < (K + 1) * N / Strata - K * N / Strata) {
+      ++Quota[K];
+      ++Assigned;
+    }
+  std::vector<uint64_t> Picked;
+  for (uint64_t K = 0; K < Strata; ++K) {
+    uint64_t Lo = K * N / Strata, Hi = (K + 1) * N / Strata;
+    std::vector<uint64_t> Scratch;
+    for (uint64_t I = Lo; I < Hi; ++I)
+      Scratch.push_back(I);
+    Xoshiro256 Rng(Seed ^ (0x9e3779b97f4a7c15ull * (K + 1)));
+    for (uint64_t I = 0; I < Quota[K]; ++I) {
+      std::swap(Scratch[I], Scratch[I + Rng.below(Hi - Lo - I)]);
+      Picked.push_back(Scratch[I]);
+    }
+  }
+  std::sort(Picked.begin(), Picked.end());
+  std::vector<PlannedRun> Out;
+  for (uint64_t I : Picked)
+    Out.push_back(All[I]);
+  return Out;
+}
+
+TEST(CampaignPlan, SampledExhaustivePlanEqualsMaterializeThenSample) {
+  // A sampled exhaustive plan decodes its picks from the (cycle, reg,
+  // bit) grid instead of enumerating it; the runs, the population and
+  // hence the fingerprint must be those of enumerating then sampling.
+  // Fingerprints are also pinned to the values earlier builds wrote
+  // into resume checkpoints, so those checkpoints keep loading.
+  const std::map<std::string, uint64_t> Pinned = {
+      {"bitcount/64/2000/1", 0xcd5eef9bd7e248aaull},
+      {"CRC32/1000/37/9", 0x4dcd0ff33e0bd954ull},
+      {"AES/1000/2000/123", 0x1d52019fa5aa926dull},
+  };
+  unsigned PinnedSeen = 0;
+  for (const char *Name : {"bitcount", "CRC32", "AES"}) {
+    const Workload *W = findWorkload(Name);
+    ASSERT_NE(W, nullptr);
+    Program Prog = loadWorkload(*W);
+    BECAnalysis A = BECAnalysis::run(Prog);
+    Trace Golden = simulate(Prog);
+    for (uint64_t Window : {uint64_t(1), uint64_t(64), uint64_t(1000)}) {
+      std::vector<PlannedRun> All =
+          planCampaign(A, Golden, PlanKind::Exhaustive, Window);
+      for (uint64_t Want : {uint64_t(37), uint64_t(2000)})
+        for (uint64_t Seed : {uint64_t(1), uint64_t(9), uint64_t(123)}) {
+          PlanOptions PO;
+          PO.Kind = PlanKind::Exhaustive;
+          PO.MaxCycles = Window;
+          PO.SampleSize = Want;
+          PO.SampleSeed = Seed;
+          CampaignPlan Plan = CampaignPlan::build(A, Golden, PO);
+          std::string What = std::string(Name) + "/" +
+                             std::to_string(Window) + "/" +
+                             std::to_string(Want) + "/" +
+                             std::to_string(Seed);
+          EXPECT_EQ(Plan.populationRuns(), All.size()) << What;
+          std::vector<PlannedRun> Ref = referenceSample(All, Want, Seed);
+          ASSERT_EQ(Plan.runs().size(), Ref.size()) << What;
+          for (size_t I = 0; I < Ref.size(); ++I) {
+            const PlannedRun &X = Plan.runs()[I], &Y = Ref[I];
+            ASSERT_TRUE(X.AfterCycle == Y.AfterCycle && X.R == Y.R &&
+                        X.Bit == Y.Bit && X.ClassRep == Y.ClassRep &&
+                        X.Segment == Y.Segment)
+                << What << " run " << I;
+          }
+          if (auto It = Pinned.find(What); It != Pinned.end()) {
+            EXPECT_EQ(Plan.fingerprint(), It->second) << What;
+            ++PinnedSeen;
+          }
+        }
+    }
+  }
+  EXPECT_EQ(PinnedSeen, Pinned.size());
 }
 
 TEST(CampaignPlan, FingerprintSeparatesKindWindowAndSeed) {

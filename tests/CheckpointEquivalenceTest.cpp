@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 using namespace bec;
@@ -330,6 +331,63 @@ TEST(CheckpointEquivalence, AutoPlacementMatchesOffOnEveryPlanKind) {
     ASSERT_TRUE(ROff.Error.empty()) << ROff.Error;
     expectSameResult(ROff, ROn);
     EXPECT_GT(ROn.CheckpointsCreated, 0u);
+  }
+}
+
+/// The suffix memo's stated bound at one thread: a run probes from the
+/// first checkpoint at or after its injection cycle, and the memo holds
+/// keys only for checkpoints the current run can still probe, all
+/// inserted by runs whose first checkpoint lies in the SpliceProbeWindow
+/// checkpoints before it — at most SpliceProbeWindow keys each.
+uint64_t memoEntryBound(const CampaignPlan &Plan) {
+  const std::vector<uint64_t> &Cks = Plan.checkpointCycles();
+  std::vector<uint64_t> RunsFrom(Cks.size() + 1, 0);
+  for (const PlannedRun &Run : Plan.runs())
+    ++RunsFrom[std::lower_bound(Cks.begin(), Cks.end(), Run.AfterCycle) -
+               Cks.begin()];
+  uint64_t Most = 0, InWindow = 0;
+  for (size_t Ck = 0; Ck < RunsFrom.size(); ++Ck) {
+    InWindow += RunsFrom[Ck];
+    if (Ck >= SpliceProbeWindow)
+      InWindow -= RunsFrom[Ck - SpliceProbeWindow];
+    Most = std::max(Most, InWindow);
+  }
+  return SpliceProbeWindow * Most;
+}
+
+TEST(CheckpointEquivalence, FullTracePlansProbeAWindowAndBoundTheMemo) {
+  // Sampled bit-level plans over the whole golden trace (no MaxCycles
+  // window) of all eight workloads, so long traces and late injections
+  // are covered: splicing must keep every verdict and trace hash, never
+  // simulate more than replaying every suffix, probe at most
+  // SpliceProbeWindow checkpoints per run, and keep the memo within its
+  // bound.
+  for (const Workload &W : allWorkloads()) {
+    Program Prog = loadWorkload(W);
+    BECAnalysis A = BECAnalysis::run(Prog);
+    Trace Golden = simulate(Prog);
+    PlanOptions On;
+    On.Kind = PlanKind::BitLevel;
+    On.SampleSize = 3000;
+    PlanOptions Off = On;
+    Off.PrefixCheckpoint = false;
+    CampaignPlan OnPlan = CampaignPlan::build(A, Golden, On);
+    ASSERT_TRUE(OnPlan.prefixCheckpoint()) << W.Name;
+    ASSERT_EQ(OnPlan.runs().size(), 3000u) << W.Name;
+    CampaignResult ROn = runCampaign(Prog, Golden, OnPlan);
+    CampaignResult ROff =
+        runCampaign(Prog, Golden, CampaignPlan::build(A, Golden, Off));
+    ASSERT_TRUE(ROn.Error.empty()) << ROn.Error;
+    ASSERT_TRUE(ROff.Error.empty()) << ROff.Error;
+
+    expectSameResult(ROff, ROn);
+    EXPECT_LE(ROn.SimulatedCycles, ROff.SimulatedCycles) << W.Name;
+    EXPECT_GT(ROn.SplicedRuns, 0u) << W.Name;
+    EXPECT_LE(ROn.SplicedRuns, ROn.MemoProbes) << W.Name;
+    EXPECT_LE(ROn.MemoProbes, SpliceProbeWindow * ROn.Runs) << W.Name;
+    EXPECT_LE(ROn.MemoPeakEntries, memoEntryBound(OnPlan)) << W.Name;
+    EXPECT_EQ(ROff.MemoProbes, 0u) << W.Name;
+    EXPECT_EQ(ROff.MemoPeakEntries, 0u) << W.Name;
   }
 }
 

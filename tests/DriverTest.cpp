@@ -88,22 +88,21 @@ TEST(Driver, CampaignBitcountBitLevelPlan) {
 
 /// The campaign's wall-clock column is the one measured (not computed)
 /// value; mask it before comparing two runs' reports.
-std::string maskCampaignSeconds(std::string S) {
-  size_t Pos = 0;
-  while ((Pos = S.find_first_of("0123456789", Pos)) != std::string::npos) {
-    size_t End = S.find_first_not_of("0123456789.", Pos);
-    size_t LineEnd = S.find('\n', Pos);
-    std::string Tok = S.substr(Pos, (End == std::string::npos ? S.size()
-                                                              : End) - Pos);
+std::string maskCampaignSeconds(const std::string &S) {
+  std::string Out;
+  size_t Pos = 0, Start;
+  while ((Start = S.find_first_of("0123456789", Pos)) != std::string::npos) {
+    Out.append(S, Pos, Start - Pos);
+    size_t TokEnd = S.find_first_not_of("0123456789.", Start);
+    size_t End = TokEnd == std::string::npos ? S.size() : TokEnd;
     // A x.yz token at end of line is the Seconds cell.
-    if (End == LineEnd && Tok.find('.') != std::string::npos) {
-      S.replace(Pos, Tok.size(), "#");
-      Pos += 1;
-    } else {
-      Pos = End == std::string::npos ? S.size() : End;
-    }
+    if (TokEnd == S.find('\n', Start) && S.find('.', Start) < End)
+      Out += '#';
+    else
+      Out.append(S, Start, End - Start);
+    Pos = End;
   }
-  return S;
+  return Out.append(S, Pos);
 }
 
 TEST(Driver, CampaignCheckpointResumeReportIsByteIdentical) {

@@ -472,8 +472,9 @@ const FlagSpec Flags[] = {
      "budgets", writeBudgets},
     {"--format", "KIND", Pipelines | in(Command::Fuzz), "text | json",
      choose<&Opt::Json, FormatNames>,
-     "output format of any subcommand: text | json\n"
-     "(default text).",
+     "output format of analyze, campaign, schedule,\n"
+     "harden, report and fuzz: text | json (default\n"
+     "text).",
      "format", writeName<&Opt::Json, FormatNames>},
     {"--max-cycles", "N", in(Command::Campaign, Command::Report, Command::Fuzz),
      "a number", set<&Opt::MaxCycles>,
