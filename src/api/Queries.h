@@ -162,7 +162,7 @@ struct CampaignQuery {
     /// surface in the result (Error, Interrupted, Shards). Corollary:
     /// a cache hit skips execution entirely, including its checkpoint
     /// writes and progress callbacks.
-    CampaignExecOptions Exec;
+    CampaignExecOptions Exec{};
   };
   static constexpr const char *Name = "campaign";
   static std::string fingerprint(const Options &O);

@@ -71,6 +71,7 @@ void FateBuilder::buildMoveLike(Reg Src) {
 void FateBuilder::buildBitwise(Reg X, const KnownBits &KX, Reg Y,
                                const KnownBits &KY, bool IsAnd, bool IsOr,
                                bool IsXor) {
+  (void)IsOr; // Implied by !IsAnd && !IsXor; only the assert reads it.
   // z = x OP y. The fate of bit i of x depends on the known value of y's
   // bit i (lines 8-25 of Algorithm 3), and symmetrically.
   auto FateFor = [&](const KnownBits &KOther, unsigned B) -> Fate {

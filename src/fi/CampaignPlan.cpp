@@ -3,6 +3,7 @@
 #include "fi/CampaignPlan.h"
 
 #include "sim/Trace.h"
+#include "support/Hash.h"
 #include "support/Xoshiro.h"
 
 #include <algorithm>
@@ -111,7 +112,7 @@ std::vector<uint64_t> stratifiedIndices(uint64_t N, uint64_t Want,
 uint64_t fingerprintPlan(const PlanOptions &O, uint64_t Population,
                          uint64_t CheckpointPeriod,
                          const std::vector<PlannedRun> &Runs) {
-  TraceHasher H;
+  Fnv64 H;
   H.absorb(0xbecca111u); // Format tag.
   H.absorb(static_cast<uint64_t>(O.Kind));
   H.absorb(O.MaxCycles);

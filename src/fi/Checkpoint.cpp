@@ -12,7 +12,10 @@ using namespace bec;
 
 namespace {
 
-constexpr int FormatVersion = 1;
+/// Bump whenever recorded values change meaning. Version 2: trace hashes
+/// are the fold of the two-lane word-wise cursor (sim/Trace.h), so a
+/// version-1 file's hashes would never match a fresh run's.
+constexpr uint64_t FormatVersion = 2;
 
 std::string hex64(uint64_t V) {
   char Buf[20];
@@ -34,7 +37,7 @@ std::optional<uint64_t> parseHex64(const std::string &S) {
 std::string headerLine(const CheckpointHeader &H) {
   JsonWriter W;
   W.beginObject();
-  W.key("bec_campaign_checkpoint").value(int64_t(FormatVersion));
+  W.key("bec_campaign_checkpoint").value(FormatVersion);
   W.key("plan_fingerprint").value(hex64(H.PlanFingerprint));
   W.key("runs").value(H.Runs);
   W.key("shards").value(H.Shards);
@@ -148,10 +151,18 @@ bool bec::loadCheckpoint(const std::string &Path,
     return true; // Empty file: fresh start.
 
   std::optional<JsonValue> Header = parseJson(Line);
-  if (!Header || !Header->isObject() ||
-      Header->memberU64("bec_campaign_checkpoint") !=
-          std::optional<uint64_t>(FormatVersion)) {
+  std::optional<uint64_t> Version =
+      Header && Header->isObject()
+          ? Header->memberU64("bec_campaign_checkpoint")
+          : std::nullopt;
+  if (!Version) {
     Err = "'" + Path + "' is not a bec campaign checkpoint";
+    return false;
+  }
+  if (*Version != FormatVersion) {
+    Err = "checkpoint '" + Path + "' has format version " +
+          std::to_string(*Version) + " but this build reads version " +
+          std::to_string(FormatVersion) + "; delete it or drop --resume";
     return false;
   }
   const std::string *FP = Header->memberString("plan_fingerprint");

@@ -23,21 +23,9 @@ using namespace bec;
 
 namespace {
 
-FaultEffect classifyRun(const Trace &T, const Trace &Golden) {
-  if (T.TraceHash == Golden.TraceHash)
-    return FaultEffect::Masked;
-  if (T.End == Outcome::Trap)
-    return FaultEffect::Trap;
-  if (T.End == Outcome::Hang)
-    return FaultEffect::Hang;
-  if (T.ObservableHash == Golden.ObservableHash)
-    return FaultEffect::Benign;
-  return FaultEffect::SDC;
-}
-
 /// Everything a finished run contributes to the report: enough to
-/// classify (classifySuffix), dedup the trace archive, and size it.
-/// Memoized per reachable checkpoint state — see suffixStateKey.
+/// classify, dedup the trace archive, and size it. Memoized per
+/// reachable checkpoint state — see suffixStateKey.
 struct SettledSuffix {
   uint64_t TraceHash = 0;
   uint64_t ObsHash = 0;
@@ -45,7 +33,10 @@ struct SettledSuffix {
   uint64_t Bytes = 0; ///< The full run's approxByteSize().
 };
 
-FaultEffect classifySuffix(const SettledSuffix &S, const Trace &Golden) {
+/// The five-way verdict of a finished run against the golden run, from
+/// its (64-bit folded) trace hash, observable hash and outcome — the same
+/// rule whether the run executed its suffix or spliced a memoized one.
+FaultEffect classify(const SettledSuffix &S, const Trace &Golden) {
   if (S.TraceHash == Golden.TraceHash)
     return FaultEffect::Masked;
   if (S.End == Outcome::Trap)
@@ -62,11 +53,10 @@ FaultEffect classifySuffix(const SettledSuffix &S, const Trace &Golden) {
 /// one to complete settles every later one — the paper's fault-site
 /// equivalence classes, recovered dynamically:
 ///
-///  * The full-trace hash cursor covers the PC of every executed step
-///    and the address and value of every store, so equal cursors mean
-///    identical paths and identical memory (the same hash-equality
-///    trust the Masked classification rests on). Memory therefore
-///    never needs hashing here.
+///  * The 128-bit full-trace hash cursor covers the PC of every executed
+///    step and the address and value of every store, so equal cursors
+///    mean identical paths and identical memory (modulo a 128-bit
+///    collision). Memory therefore never needs hashing here.
 ///  * Live registers pin down everything the continuation can still
 ///    read. A register outside liveInMask(PC) is read on no path
 ///    before being redefined, so a lingering flip there cannot
@@ -74,15 +64,18 @@ FaultEffect classifySuffix(const SettledSuffix &S, const Trace &Golden) {
 ///    is also why a masked fault's state keys equal to the *golden*
 ///    checkpoint at the same cycle and splices without replaying the
 ///    suffix.
-uint64_t suffixStateKey(uint64_t Cycle, uint32_t PC, uint64_t FullHash,
-                        uint64_t ObsHash, const Machine &M,
-                        const std::vector<uint32_t> *LiveIn) {
+TraceCursor suffixStateKey(uint64_t Cycle, uint32_t PC,
+                           const TraceCursor &FullHash,
+                           const TraceCursor &ObsHash, const Machine &M,
+                           const std::vector<uint32_t> *LiveIn) {
   TraceHasher H;
   H.absorb(0x5faceca11u); // Format tag.
   H.absorb(Cycle);
   H.absorb(PC);
-  H.absorb(FullHash);
-  H.absorb(ObsHash);
+  H.absorb(FullHash.Lane0);
+  H.absorb(FullHash.Lane1);
+  H.absorb(ObsHash.Lane0);
+  H.absorb(ObsHash.Lane1);
   // No live-in mask for this PC = key strictly (mask of all ones).
   uint32_t Live = LiveIn && PC < LiveIn->size() ? (*LiveIn)[PC]
                                                 : ~uint32_t(0);
@@ -91,8 +84,15 @@ uint64_t suffixStateKey(uint64_t Cycle, uint32_t PC, uint64_t FullHash,
       H.absorb(R);
       H.absorb(M.reg(static_cast<Reg>(R)));
     }
-  return H.value();
+  return H.state();
 }
+
+/// Bucket hash of a memo key: the key's lanes are already mixed.
+struct CursorHash {
+  size_t operator()(const TraceCursor &C) const {
+    return static_cast<size_t>(C.Lane0 ^ C.Lane1);
+  }
+};
 
 /// One worker's suffix memo: continuation identity (suffixStateKey) ->
 /// how that continuation ends, for the SpliceProbeWindow checkpoints the
@@ -122,12 +122,12 @@ public:
     Base = First;
   }
 
-  const SettledSuffix *find(size_t Ck, uint64_t Key) {
+  const SettledSuffix *find(size_t Ck, const TraceCursor &Key) {
     auto It = slice(Ck).find(Key);
     return It == slice(Ck).end() ? nullptr : &It->second;
   }
 
-  void insert(size_t Ck, uint64_t Key, const SettledSuffix &S) {
+  void insert(size_t Ck, const TraceCursor &Key, const SettledSuffix &S) {
     if (slice(Ck).emplace(Key, S).second)
       PeakEntries = std::max(PeakEntries, ++Entries);
   }
@@ -135,7 +135,7 @@ public:
   uint64_t peakEntries() const { return PeakEntries; }
 
 private:
-  using Slice = std::unordered_map<uint64_t, SettledSuffix>;
+  using Slice = std::unordered_map<TraceCursor, SettledSuffix, CursorHash>;
   Slice &slice(size_t Ck) { return Slices[Ck % SpliceProbeWindow]; }
 
   std::array<Slice, SpliceProbeWindow> Slices;
@@ -226,7 +226,7 @@ struct EngineState {
   /// The golden continuation's key at every checkpoint (parallel to
   /// Ckpts) and how it ends: a masked fault whose live state reconverges
   /// with the golden run keys equal to it and splices immediately.
-  std::vector<uint64_t> GoldenKeys;
+  std::vector<TraceCursor> GoldenKeys;
   SettledSuffix GoldenEnd;
 
   /// Index of the first checkpoint with cycle >= \p Cycle (a checkpoint
@@ -365,7 +365,7 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
     WS.RebuildUs += RebuildUs;
   }
   uint64_t WalkerFrom = Walker->cycle();
-  std::vector<uint64_t> Probed; // Missed keys, from the first checkpoint.
+  std::vector<TraceCursor> Probed; // Missed keys, from the first checkpoint.
   for (uint64_t K = Lo; K < Hi; ++K) {
     uint32_t Idx = St.Order[K];
     const PlannedRun &Run = (*St.Runs)[Idx];
@@ -389,10 +389,10 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
       Forked.runToCycle(St.Ckpts[Ck].CycleCount);
       if (Forked.done())
         break;
-      uint64_t Key = suffixStateKey(Forked.cycle(), Forked.pc(),
-                                    Forked.fullHashState(),
-                                    Forked.obsHashState(),
-                                    Forked.machine(), St.LiveIn);
+      TraceCursor Key = suffixStateKey(Forked.cycle(), Forked.pc(),
+                                       Forked.fullHashState(),
+                                       Forked.obsHashState(),
+                                       Forked.machine(), St.LiveIn);
       ++WS.MemoProbes;
       Hit = Key == St.GoldenKeys[Ck] ? &St.GoldenEnd : Memo.find(Ck, Key);
       if (Hit)
@@ -403,18 +403,18 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
       // The memoized continuation reproduces this run's trace byte for
       // byte, so the slots take exactly what a full replay would have
       // produced: its final hash and its (recording-off) archive size.
-      St.Effects[Idx] = classifySuffix(*Hit, *St.Golden);
+      St.Effects[Idx] = classify(*Hit, *St.Golden);
       St.Hashes[Idx] = Hit->TraceHash;
       St.Bytes[Idx] = Hit->Bytes;
       ++WS.Spliced;
     } else {
       Forked.run();
       Trace T = Forked.takeTrace();
-      St.Effects[Idx] = classifyRun(T, *St.Golden);
-      St.Hashes[Idx] = T.TraceHash;
-      St.Bytes[Idx] = T.approxByteSize();
       SettledSuffix Settled{T.TraceHash, T.ObservableHash, T.End,
-                            St.Bytes[Idx]};
+                            T.approxByteSize()};
+      St.Effects[Idx] = classify(Settled, *St.Golden);
+      St.Hashes[Idx] = Settled.TraceHash;
+      St.Bytes[Idx] = Settled.Bytes;
       for (size_t I = 0; I < Probed.size(); ++I)
         Memo.insert(FirstCk + I, Probed[I], Settled);
     }

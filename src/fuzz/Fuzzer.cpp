@@ -18,6 +18,7 @@
 
 #include "fuzz/Minimizer.h"
 #include "sim/Interpreter.h"
+#include "support/Hash.h"
 #include "support/Json.h"
 #include "support/JsonParse.h"
 #include "support/ThreadPool.h"
@@ -47,7 +48,7 @@ std::string hex16(uint64_t V) {
 /// minimization are execution-side and deliberately excluded (same rule
 /// as the campaign engine's plan fingerprint).
 uint64_t optionsFingerprint(const FuzzOptions &O) {
-  TraceHasher H;
+  Fnv64 H;
   H.absorb(0xbecf077e00000001ull);
   H.absorb(O.Seed);
   H.absorb(O.Count);

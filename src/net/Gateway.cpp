@@ -7,6 +7,7 @@
 #include "obs/Prometheus.h"
 #include "obs/SpanRing.h"
 #include "obs/Trace.h"
+#include "support/Hash.h"
 #include "support/Json.h"
 
 #include <algorithm>
@@ -19,29 +20,15 @@ using serve::ErrorCode;
 
 namespace {
 
-/// FNV-1a 64-bit: stable across runs and platforms (the ring must be).
-uint64_t fnv1a64(std::string_view S) {
-  uint64_t H = 14695981039346656037ull;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
 /// The ring hash: FNV-1a finished with MurmurHash3's 64-bit avalanche.
 /// Raw FNV of the short, near-identical strings involved here (vnode
 /// labels, "program-N" names) clusters badly on the 64-bit circle — in
 /// one measured 3-backend layout a backend owned 10% of the ring and
 /// received 0 of 400 keys. The finalizer restores a uniform spread.
 uint64_t ringHash(std::string_view S) {
-  uint64_t H = fnv1a64(S);
-  H ^= H >> 33;
-  H *= 0xff51afd7ed558ccdull;
-  H ^= H >> 33;
-  H *= 0xc4ceb9fe1a85ec53ull;
-  H ^= H >> 33;
-  return H;
+  Fnv64 F; // Stable across runs and platforms, as the ring must be.
+  F.absorbBytes(S);
+  return avalanche64(F.value());
 }
 
 std::string lowered(std::string_view S) {

@@ -50,8 +50,8 @@ struct MachineState {
   uint32_t PC = 0;
   uint64_t CycleCount = 0;
   bool Done = false;
-  uint64_t FullHashState = 0;
-  uint64_t ObsHashState = 0;
+  TraceCursor FullHashState;
+  TraceCursor ObsHashState;
   /// End-of-run trace fields; meaningful only when Done.
   Outcome End = Outcome::Finished;
   uint64_t ReturnValue = 0;
@@ -76,20 +76,14 @@ struct MachineState {
   bool operator!=(const MachineState &O) const { return !(*this == O); }
 };
 
-/// Stepping interpreter over one program.
+/// Interpreter over one program, run in stretches of cycles.
 class Interpreter {
 public:
   Interpreter(const Program &Prog, RunOptions Opts = {});
 
-  /// Executes one instruction. Returns false once the run has ended
+  /// Runs until \p Cycle instructions have executed or the run ends
   /// (finished, trapped, or exhausted the budget).
-  bool step();
-
-  /// Runs until \p Cycle instructions have executed or the program ends.
-  void runToCycle(uint64_t Cycle) {
-    while (!Done && Cycle > CycleCount)
-      step();
-  }
+  void runToCycle(uint64_t Cycle);
   /// Runs to completion.
   void run() { runToCycle(std::numeric_limits<uint64_t>::max()); }
 
@@ -99,12 +93,11 @@ public:
   Machine &machine() { return M; }
   const Machine &machine() const { return M; }
 
-  /// Incremental hash cursors of the run so far. Two runs of the same
-  /// program whose cursors are equal at the same cycle have absorbed
-  /// identical prefixes (modulo hash collision, the same approximation
-  /// the campaign engine's trace comparison already makes).
-  uint64_t fullHashState() const { return FullHash.value(); }
-  uint64_t obsHashState() const { return ObsHash.value(); }
+  /// Incremental 128-bit hash cursors of the run so far. Two runs of
+  /// the same program whose cursors are equal at the same cycle have
+  /// absorbed identical prefixes (modulo a 128-bit hash collision).
+  TraceCursor fullHashState() const { return FullHash.state(); }
+  TraceCursor obsHashState() const { return ObsHash.state(); }
 
   /// Captures the complete architectural state of the run in flight.
   /// Only valid on hash-only runs (RunOptions::Record == false): recorded
@@ -121,6 +114,10 @@ public:
   Trace takeTrace();
 
 private:
+  /// The run loop: executes up to \p Limit cycles with PC, cycle count
+  /// and full-trace cursor held in locals, written back when it stops.
+  /// One instantiation records Executed/Events, the other only hashes.
+  template <bool Record> void runLoop(uint64_t Limit);
   void finish(Outcome End);
 
   const Program *Prog;

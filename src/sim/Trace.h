@@ -6,12 +6,15 @@
 /// instructions executed such as memory accesses, and observable outcomes
 /// of the program". Two fault-injection runs are equivalent iff their
 /// traces are identical; the campaign engine compares traces by a rolling
-/// 64-bit hash so that millions of runs need not be archived.
+/// 128-bit hash, folded to 64 bits per finished run, so that millions of
+/// runs need not be archived.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BEC_SIM_TRACE_H
 #define BEC_SIM_TRACE_H
+
+#include "support/Hash.h"
 
 #include <cstdint>
 #include <string>
@@ -37,28 +40,49 @@ struct TraceEvent {
   uint8_t Size;   ///< Store size in bytes (0 for Out).
 };
 
-/// Incremental FNV-1a hasher used for both the full-trace hash and the
-/// observable-output hash.
+/// The full 128-bit state of a TraceHasher, one word per lane: the
+/// "trace cursor" piece of an interpreter checkpoint.
+struct TraceCursor {
+  uint64_t Lane0 = 0;
+  uint64_t Lane1 = 0;
+  bool operator==(const TraceCursor &) const = default;
+};
+
+/// Incremental hasher used for both the full-trace hash and the
+/// observable-output hash. Two independent 64-bit lanes each absorb a
+/// whole word per call — xor it in, multiply by an odd constant, fold
+/// the high half down with a right xorshift — so the interpreter pays
+/// one short dependency chain per absorbed word, not eight.
+///
+/// Every step is a bijection of the lane for a fixed word (xor, odd
+/// multiply and xorshift are all invertible), so two runs that absorb
+/// the same suffix from restored-equal cursors end with equal hashes,
+/// and runs whose cursors ever differ never re-equalize under a common
+/// suffix: that is what lets a restored checkpoint continue a run, and
+/// what makes cursor equality a sound continuation identity.
 class TraceHasher {
 public:
   void absorb(uint64_t Value) {
-    for (unsigned I = 0; I < 8; ++I) {
-      Hash ^= (Value >> (8 * I)) & 0xff;
-      Hash *= 0x100000001b3ull;
-    }
+    Lane0 = (Lane0 ^ Value) * 0x9e3779b97f4a7c15ull;
+    Lane0 ^= Lane0 >> 29;
+    Lane1 = (Lane1 ^ Value) * 0xc2b2ae3d27d4eb4full;
+    Lane1 ^= Lane1 >> 32;
   }
-  uint64_t value() const { return Hash; }
 
-  /// Resets the hasher to a previously observed value() — the "trace
-  /// cursor" piece of an interpreter checkpoint. Each absorbed byte maps
-  /// the state injectively (xor, then multiply by an odd constant), so
-  /// two runs that absorb the same suffix from restored-equal states end
-  /// with equal hashes, and runs whose states ever differ never
-  /// re-equalize under a common suffix.
-  void restore(uint64_t State) { Hash = State; }
+  /// The 64-bit trace hash: both lanes folded through a full-avalanche
+  /// finalizer (bijective in each lane for a fixed other lane).
+  uint64_t value() const { return avalanche64(Lane0 ^ avalanche64(Lane1)); }
+
+  TraceCursor state() const { return {Lane0, Lane1}; }
+  /// Resets the hasher to a previously observed state().
+  void restore(const TraceCursor &C) {
+    Lane0 = C.Lane0;
+    Lane1 = C.Lane1;
+  }
 
 private:
-  uint64_t Hash = 0xcbf29ce484222325ull;
+  uint64_t Lane0 = 0xcbf29ce484222325ull;
+  uint64_t Lane1 = 0x6a09e667f3bcc908ull;
 };
 
 /// A (possibly abbreviated) record of one program execution.

@@ -301,9 +301,9 @@ private:
   }
 
   bool parseHex4(uint32_t &Out) {
+    Out = 0;
     if (Pos + 4 > Text.size())
       return fail("truncated \\u escape");
-    Out = 0;
     for (unsigned I = 0; I < 4; ++I) {
       char C = Text[Pos++];
       uint32_t Digit;

@@ -371,6 +371,52 @@ TEST(CampaignEngine, ResumeRejectsCheckpointOfDifferentPlan) {
   std::remove(Path.c_str());
 }
 
+TEST(CampaignEngine, ResumeRejectsCheckpointOfOlderFormatVersion) {
+  // Version-1 files recorded trace hashes of the byte-serial cursor; a
+  // resume must refuse them by version, naming both versions and the
+  // way out, instead of mixing old and new hashes in one archive.
+  Program Prog = parseAsmOrDie(SmallLoop, "loop");
+  BECAnalysis A = BECAnalysis::run(Prog);
+  Trace Golden = simulate(Prog);
+  PlanOptions PO;
+  PO.Kind = PlanKind::ValueLevel;
+  CampaignPlan Plan = CampaignPlan::build(A, Golden, PO);
+  std::string Path = test::tempPath("campaign_v1.jsonl");
+  std::remove(Path.c_str());
+  CampaignExecOptions Exec;
+  Exec.CheckpointPath = Path;
+  ASSERT_TRUE(runCampaign(Prog, Golden, Plan, Exec).Error.empty());
+
+  // Rewrite the header as version 1, records untouched.
+  std::vector<std::string> Lines;
+  {
+    std::ifstream In(Path);
+    for (std::string L; std::getline(In, L);)
+      Lines.push_back(L);
+  }
+  ASSERT_FALSE(Lines.empty());
+  const std::string Key = "\"bec_campaign_checkpoint\":";
+  size_t At = Lines[0].find(Key);
+  ASSERT_NE(At, std::string::npos) << Lines[0];
+  size_t From = At + Key.size();
+  size_t To = Lines[0].find(',', From);
+  ASSERT_NE(To, std::string::npos) << Lines[0];
+  Lines[0].replace(From, To - From, "1");
+  {
+    std::ofstream Out(Path, std::ios::trunc);
+    for (const std::string &L : Lines)
+      Out << L << "\n";
+  }
+
+  Exec.Resume = true;
+  CampaignResult R = runCampaign(Prog, Golden, Plan, Exec);
+  EXPECT_NE(R.Error.find("version 1"), std::string::npos) << R.Error;
+  EXPECT_NE(R.Error.find("version 2"), std::string::npos) << R.Error;
+  EXPECT_NE(R.Error.find("delete it or drop --resume"), std::string::npos)
+      << R.Error;
+  std::remove(Path.c_str());
+}
+
 TEST(CampaignEngine, TornTrailingCheckpointRecordIsIgnored) {
   Program Prog = parseAsmOrDie(SmallLoop, "loop");
   BECAnalysis A = BECAnalysis::run(Prog);
@@ -424,8 +470,9 @@ TEST(CampaignPlan, StratifiedSampleIsDeterministicSortedAndSized) {
     EXPECT_EQ(S1.runs()[I].AfterCycle, S2.runs()[I].AfterCycle);
     EXPECT_EQ(S1.runs()[I].R, S2.runs()[I].R);
     EXPECT_EQ(S1.runs()[I].Bit, S2.runs()[I].Bit);
-    if (I)
+    if (I) {
       EXPECT_LE(S1.runs()[I - 1].AfterCycle, S1.runs()[I].AfterCycle);
+    }
   }
   PO.SampleSeed = 8;
   CampaignPlan S3 = CampaignPlan::build(A, Golden, PO);

@@ -176,6 +176,43 @@ TEST(MachineStateSerde, RoundTripIsExactAndMalformedBuffersAreRejected) {
   EXPECT_FALSE(MachineState::deserialize(Bad.data(), Bad.size()).has_value());
 }
 
+TEST(MachineStateSerde, SecondCursorLaneIsComparedAndRoundTrips) {
+  Program Prog = parseAsmOrDie(SmallLoop, "loop");
+  Trace Golden = simulate(Prog);
+  Interpreter I(Prog, hashOnly(Golden.Cycles));
+  I.runToCycle(5);
+  MachineState S = I.snapshot();
+  for (TraceCursor MachineState::*Cursor :
+       {&MachineState::FullHashState, &MachineState::ObsHashState}) {
+    MachineState T = S;
+    (T.*Cursor).Lane1 ^= uint64_t(1) << 63;
+    EXPECT_TRUE(S != T);
+    std::vector<uint8_t> Bytes = T.serialize();
+    EXPECT_NE(Bytes, S.serialize());
+    std::optional<MachineState> Back =
+        MachineState::deserialize(Bytes.data(), Bytes.size());
+    ASSERT_TRUE(Back.has_value());
+    EXPECT_TRUE(*Back == T);
+    EXPECT_TRUE(*Back != S);
+  }
+}
+
+TEST(MachineStateSerde, PreviousFormatTagIsRejected) {
+  // Tag 0xbec0057a7e000001 framed one 64-bit word per hash cursor; its
+  // buffers must not be misread as two-lane cursors.
+  Program Prog = parseAsmOrDie(SmallLoop, "loop");
+  Trace Golden = simulate(Prog);
+  Interpreter I(Prog, hashOnly(Golden.Cycles));
+  I.runToCycle(5);
+  std::vector<uint8_t> Bytes = I.snapshot().serialize();
+  const uint64_t OldTag = 0xbec0057a7e000001ull;
+  for (unsigned B = 0; B < 8; ++B)
+    Bytes[B] = static_cast<uint8_t>(OldTag >> (8 * B));
+  EXPECT_FALSE(MachineState::deserialize(Bytes.data(), Bytes.size()));
+  // The old layout was 16 bytes shorter; rejected at that size too.
+  EXPECT_FALSE(MachineState::deserialize(Bytes.data(), Bytes.size() - 16));
+}
+
 //===----------------------------------------------------------------------===//
 // Interpreter-level battery: every pruned fault site, all workloads
 //===----------------------------------------------------------------------===//
@@ -288,8 +325,9 @@ TEST(CheckpointEquivalence, EngineSweepOverPlacementPeriodsIsBitIdentical) {
       CampaignResult R = runCampaign(Prog, Golden, Plan);
       ASSERT_TRUE(R.Error.empty()) << R.Error;
       EXPECT_GT(R.CheckpointsCreated, 0u) << W.Name;
-      if (K == Golden.Cycles)
+      if (K == Golden.Cycles) {
         EXPECT_EQ(R.CheckpointsCreated, 1u) << W.Name;
+      }
       expectSameResult(Baseline, R);
 
       // Placement must also not leak into the result under stealing

@@ -389,8 +389,9 @@ TEST(HardenTest, LargerBudgetsNeverHurt) {
     Opts.BudgetPercent = Budget;
     HardenResult R = hardenProgram(Prog, Opts);
     EXPECT_LE(R.costPercent(), Budget);
-    if (Prev != UINT64_MAX)
+    if (Prev != UINT64_MAX) {
       EXPECT_LE(R.ResidualVuln, Prev) << "budget " << Budget;
+    }
     Prev = R.ResidualVuln;
   }
 }

@@ -213,14 +213,17 @@ TEST(KnownBitsComparisons, SoundOnRandomValues) {
       auto [KA, A] = randomAbstract(Rng, W);
       auto [KB, B] = randomAbstract(Rng, W);
       BitValue Eq = KnownBits::cmpEq(KA, KB);
-      if (Eq != BitValue::Top)
+      if (Eq != BitValue::Top) {
         EXPECT_EQ(Eq == BitValue::One, A == B);
+      }
       BitValue Ult = KnownBits::cmpUlt(KA, KB);
-      if (Ult != BitValue::Top)
+      if (Ult != BitValue::Top) {
         EXPECT_EQ(Ult == BitValue::One, A < B);
+      }
       BitValue Slt = KnownBits::cmpSlt(KA, KB);
-      if (Slt != BitValue::Top)
+      if (Slt != BitValue::Top) {
         EXPECT_EQ(Slt == BitValue::One, signExtend(A, W) < signExtend(B, W));
+      }
     }
   }
 }

@@ -282,8 +282,9 @@ TEST(Prometheus, EveryLineMatchesTheExpositionGrammar) {
     for (char Ch : Bare)
       EXPECT_TRUE(std::isalnum(static_cast<unsigned char>(Ch)) || Ch == '_')
           << Line;
-    if (Brace != std::string::npos)
+    if (Brace != std::string::npos) {
       EXPECT_EQ(Name.back(), '}') << Line;
+    }
     ASSERT_FALSE(Val.empty()) << Line;
     size_t Digits = Val[0] == '-' ? 1 : 0;
     for (size_t I = Digits; I < Val.size(); ++I)

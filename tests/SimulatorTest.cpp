@@ -175,6 +175,31 @@ loop:
   EXPECT_EQ(T.Cycles, 100u);
 }
 
+TEST(SimulatorControl, BudgetHangsOnlyWhenACycleBeyondItIsWanted) {
+  const char *Src = R"(
+main:
+loop:
+  j loop
+)";
+  Program Prog = parseAsmOrDie(Src, "hang");
+  RunOptions Opts;
+  Opts.MaxCycles = 100;
+  // Running exactly to the budget executes every allowed cycle and
+  // leaves the run open; asking for one more cycle hangs it there.
+  Interpreter I(Prog, Opts);
+  I.runToCycle(40);
+  EXPECT_EQ(I.cycle(), 40u);
+  I.runToCycle(100);
+  EXPECT_FALSE(I.done());
+  EXPECT_EQ(I.cycle(), 100u);
+  I.runToCycle(101);
+  EXPECT_TRUE(I.done());
+  EXPECT_EQ(I.cycle(), 100u);
+  Trace T = I.takeTrace();
+  EXPECT_EQ(T.End, Outcome::Hang);
+  EXPECT_EQ(T.TraceHash, simulate(Prog, Opts).TraceHash);
+}
+
 TEST(SimulatorInjection, FlipChangesOneBit) {
   const char *Src = R"(
 main:
@@ -240,3 +265,36 @@ main:
 }
 
 } // namespace
+
+TEST(SimulatorTrace, CursorRestoreMidSequenceContinuesTheSequence) {
+  std::vector<uint64_t> Words;
+  for (uint64_t I = 0; I < 64; ++I)
+    Words.push_back(I * 0x9e3779b97f4a7c15ull ^ (I << 7));
+  TraceHasher Straight;
+  for (uint64_t V : Words)
+    Straight.absorb(V);
+
+  TraceHasher Prefix;
+  for (size_t I = 0; I < 23; ++I)
+    Prefix.absorb(Words[I]);
+  TraceHasher Resumed;
+  Resumed.restore(Prefix.state());
+  EXPECT_TRUE(Resumed.state() == Prefix.state());
+  for (size_t I = 23; I < Words.size(); ++I)
+    Resumed.absorb(Words[I]);
+  EXPECT_TRUE(Resumed.state() == Straight.state());
+  EXPECT_EQ(Resumed.value(), Straight.value());
+
+  // Cursors that differ in one lane only never re-equalize under a
+  // common suffix (each lane is a bijection per absorbed word), and the
+  // 64-bit fold tells them apart.
+  TraceCursor Other = Prefix.state();
+  Other.Lane1 ^= 1;
+  TraceHasher Diverged;
+  Diverged.restore(Other);
+  for (size_t I = 23; I < Words.size(); ++I)
+    Diverged.absorb(Words[I]);
+  EXPECT_EQ(Diverged.state().Lane0, Straight.state().Lane0);
+  EXPECT_NE(Diverged.state().Lane1, Straight.state().Lane1);
+  EXPECT_NE(Diverged.value(), Straight.value());
+}
